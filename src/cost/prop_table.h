@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <shared_mutex>
 #include <string>
 
 #include "common/flat_map.h"
@@ -25,16 +24,10 @@ struct Prop {
   bool operator==(const Prop&) const = default;
 };
 
-/// Thread-safety: single-threaded by default. EnableConcurrentUse() (sticky,
-/// called while still single-threaded) switches Intern/Get/size to internal
-/// shared_mutex locking so several optimizer fixpoints dispatched by a
-/// parallel ReoptSession flush may intern and resolve properties against one
-/// shared table. Interned Props live in a deque, so a `Get` reference stays
-/// valid across concurrent interning forever. Note that under concurrent
-/// interning the *numeric* PropId a property receives depends on thread
-/// interleaving — everything semantic is id-value-independent, and
-/// cross-optimizer comparison uses CanonicalDumpState(), which resolves ids
-/// to property content precisely so interning order cannot leak into it.
+/// Thread-safety: single-threaded; one table is owned by one optimizer's
+/// world and touched only by the thread driving that world. Interned Props
+/// live in a deque, so a `Get` reference stays valid across later
+/// interning forever.
 class PropTable {
  public:
   PropTable();
@@ -48,16 +41,9 @@ class PropTable {
 
   std::string ToString(PropId id, const QuerySpec* query = nullptr) const;
 
-  /// Sticky opt-in to internal locking (see class comment). Must be called
-  /// while no other thread touches the table; const because shared *read*
-  /// infrastructure hangs off logically-const objects (mutable members).
-  void EnableConcurrentUse() const { concurrent_ = true; }
-
  private:
   std::deque<Prop> props_;   // stable addresses: Get references never move
   FlatMap64<PropId> index_;  // packed Prop bits -> interned id
-  mutable bool concurrent_ = false;
-  mutable std::shared_mutex mu_;
 
   static uint64_t KeyOf(const Prop& p);
 };

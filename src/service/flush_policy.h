@@ -2,14 +2,12 @@
 // into a flush?
 //
 // PR 3 hard-coded one answer (a raw mutation count, `auto_flush_after`).
-// Production feedback loops want different trade-offs: bound the staleness
-// *window* (a deadline), or bound the *work* a flush will cost (a batch
-// that has grown to cover half the memo re-fixpoints no cheaper than two
-// batches — flush before the estimate crosses the budget). This header
-// makes the trigger a strategy object; the session evaluates it on the
-// same re-entrancy-safe subscriber path the old counter used
-// (ReoptSession::OnStatsMutated), plus on demand via ReoptSession::Poll()
-// for time-based policies that must fire without a mutation arriving.
+// Production feedback loops often want to bound the staleness *window* (a
+// deadline) instead. This header makes the trigger a strategy object; the
+// session evaluates it on the same re-entrancy-safe subscriber path the old
+// counter used (ReoptSession::OnStatsMutated), plus on demand via
+// ReoptSession::Poll() for time-based policies that must fire without a
+// mutation arriving.
 //
 // ## Contract
 //
@@ -20,12 +18,10 @@
 //    flight (the next mutation or Poll re-asks).
 //  * OnFlush() is called at the end of every Flush() that drained the
 //    registry — including one whose batch coalesced to nothing — with the
-//    aggregated FlushOptStats, the number of StatChanges dispatched
-//    (0 for an absorbed batch), and the count of statistics already
-//    pending again (mutations that raced the flush into the next epoch's
-//    batch). This is the policy's history feed and its reset hook.
+//    count of statistics already pending again (mutations that raced the
+//    flush into the next epoch's batch). This is the policy's reset hook.
 //  * Both methods are invoked under the session's policy mutex: calls are
-//    serialized across mutator threads and the coordinator, so policies
+//    serialized across mutator threads and the flushing thread, so policies
 //    need no internal locking. They must not call back into the session or
 //    the registry (that would deadlock on the policy mutex or the registry
 //    lock; the decision is pure), and must not throw — OnFlush runs from
@@ -42,10 +38,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
-
-#include "service/session_metrics.h"
 
 namespace iqro {
 
@@ -69,7 +61,7 @@ struct FlushPolicyContext {
   int64_t mutations_since_flush = 0;
   /// Distinct statistics with a pending delta — the pending-scope mask
   /// size. From the under-lock mutation snapshot (mutation path) or a
-  /// locked registry probe (Poll). The CostGatedPolicy input.
+  /// locked registry probe (Poll).
   size_t pending_stats = 0;
   /// Registry epoch after the triggering mutation; 0 on a Poll() probe.
   uint64_t epoch = 0;
@@ -82,34 +74,12 @@ class FlushPolicy {
   /// Flush now? See the contract above for when this is consulted.
   virtual bool ShouldFlush(const FlushPolicyContext& ctx) = 0;
 
-  /// A flush drained the registry: `stats` aggregates the dispatched
-  /// passes, `changes` is the coalesced StatChange count (0 when the batch
-  /// was absorbed), `pending_after` the distinct statistics already
-  /// pending again at flush end — mutations that raced the flush and
-  /// landed in the NEXT epoch's batch, which a time-based policy must not
-  /// silently disarm on. Default: stateless policies ignore history.
-  virtual void OnFlush(const FlushOptStats& stats, int64_t changes, size_t pending_after) {
-    (void)stats;
-    (void)changes;
-    (void)pending_after;
-  }
-
-  /// Per-query work observation: called once per *affected* pass of a
-  /// dispatched flush — before that flush's OnFlush, under the same policy
-  /// mutex. `query_id` is the session-stable QueryHandle id,
-  /// `fixpoint_work` the pass's fixpoint_steps + eps_seeded, `changes` the
-  /// dispatched StatChange count (>= 1). Default: stateless policies
-  /// ignore per-query history.
-  virtual void OnQueryPassWork(int query_id, int64_t fixpoint_work, int64_t changes) {
-    (void)query_id;
-    (void)fixpoint_work;
-    (void)changes;
-  }
-
-  /// `query_id` left the session (unregistered): drop any per-query state
-  /// so a long-lived session doesn't accumulate dead entries. Default:
-  /// no-op.
-  virtual void OnQueryUnregistered(int query_id) { (void)query_id; }
+  /// A flush drained the registry; `pending_after` is the distinct
+  /// statistics already pending again at flush end — mutations that raced
+  /// the flush and landed in the NEXT epoch's batch, which a time-based
+  /// policy must not silently disarm on. Default: stateless policies need
+  /// no reset.
+  virtual void OnFlush(size_t pending_after) { (void)pending_after; }
 
   /// Stable identifier for logs and metrics export.
   virtual const char* name() const = 0;
@@ -133,10 +103,8 @@ class CountPolicy final : public FlushPolicy {
 /// mutation has waited `deadline`. Arms on the first mutation after a
 /// flush; disarms on OnFlush. Deadlines are only *observed* when the
 /// session consults the policy — on the next mutation or on Poll() — so a
-/// deadline-driven deployment either calls Poll() from its event loop or
-/// enables the session-owned timer thread
-/// (ReoptSessionOptions::poll_interval), which polls for it
-/// (docs/API.md "Policy contract").
+/// deadline-driven deployment calls Poll() from its event loop, as the
+/// ShardedService shard loop does (docs/API.md "Policy contract").
 class DeadlinePolicy final : public FlushPolicy {
  public:
   /// `clock` defaults to the real steady clock; tests inject a fake. Not
@@ -148,7 +116,7 @@ class DeadlinePolicy final : public FlushPolicy {
   /// for the next batch (`pending_after > 0`), in which case the window
   /// re-arms immediately so their wait is bounded from now, not from
   /// whenever the next consultation happens to arrive.
-  void OnFlush(const FlushOptStats& stats, int64_t changes, size_t pending_after) override;
+  void OnFlush(size_t pending_after) override;
   const char* name() const override { return "deadline"; }
 
  private:
@@ -156,49 +124,6 @@ class DeadlinePolicy final : public FlushPolicy {
   const Clock* clock_;
   bool armed_ = false;
   std::chrono::steady_clock::time_point batch_opened_{};
-};
-
-/// Bounded *work* per flush: estimate the re-fixpoint cost of the pending
-/// batch as (pending-scope mask size) x (expected work per change, summed
-/// over the registered queries), and flush once the estimate reaches
-/// `work_budget` (in fixpoint-step units, the FlushOptStats::
-/// fixpoint_steps + eps_seeded scale). The expectation is a *per-query*
-/// EWMA fed by OnQueryPassWork — one runaway query inflates only its own
-/// term, not a shared average that would distort gating for every cheap
-/// query sharing the session. Until a first flush seeds the history the
-/// policy flushes eagerly (every mutation): an estimate of zero history is
-/// an estimate of nothing, and one eager flush is the cheapest possible
-/// calibration run.
-class CostGatedPolicy final : public FlushPolicy {
- public:
-  /// `work_budget` must be > 0. `smoothing` in (0, 1]: EWMA weight of the
-  /// newest per-query observation.
-  explicit CostGatedPolicy(double work_budget, double smoothing = 0.3);
-  bool ShouldFlush(const FlushPolicyContext& ctx) override;
-  void OnFlush(const FlushOptStats& stats, int64_t changes, size_t pending_after) override;
-  void OnQueryPassWork(int query_id, int64_t fixpoint_work, int64_t changes) override;
-  void OnQueryUnregistered(int query_id) override;
-  const char* name() const override { return "cost_gated"; }
-
-  /// Effective expected-work-per-change estimate the gate multiplies the
-  /// pending count by: the sum of the per-query EWMAs, floored at 1 work
-  /// unit per change (so zero-work flushes — every query prefiltered away
-  /// — neither wedge the estimate at 0 nor perpetuate eager mode). 0
-  /// until the first non-empty flush. Exposed for tests and metrics.
-  double work_per_change() const;
-
-  /// One query's EWMA (0 when it has no observations yet).
-  double query_work_per_change(int query_id) const;
-
- private:
-  double work_budget_;
-  double smoothing_;
-  /// (query id, EWMA of its per-change fixpoint work). Linear scan: a
-  /// session holds dozens of queries, not thousands, and the policy mutex
-  /// serializes access anyway.
-  std::vector<std::pair<int, double>> per_query_;
-  double ewma_sum_ = 0;  // cached sum of per_query_ values
-  bool has_history_ = false;
 };
 
 }  // namespace iqro

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <utility>
 
 #include "common/check.h"
@@ -12,66 +11,22 @@
 
 namespace iqro {
 
-namespace {
-
-/// Conditionally engaged lock on the registration gate. Only sessions with
-/// a poll timer have cross-thread Register/Unregister/Subscribe traffic to
-/// serialize; everyone else skips the mutex entirely. The flushing thread
-/// itself also skips it (callback-reentrant handle operations during a
-/// timer-driven flush would otherwise self-deadlock on the gate the timer
-/// already holds).
-class GateLock {
- public:
-  GateLock(std::mutex& gate, bool engage) : gate_(engage ? &gate : nullptr) {
-    if (gate_ != nullptr) gate_->lock();
-  }
-  ~GateLock() {
-    if (gate_ != nullptr) gate_->unlock();
-  }
-  GateLock(const GateLock&) = delete;
-  GateLock& operator=(const GateLock&) = delete;
-
- private:
-  std::mutex* gate_;
-};
-
-}  // namespace
-
 ReoptSession::ReoptSession(StatsRegistry* registry, ReoptSessionOptions options)
     : registry_(registry), options_(std::move(options)),
       alive_(std::make_shared<bool>(true)) {
   IQRO_CHECK(registry_ != nullptr);
-  IQRO_CHECK(options_.worker_threads >= 0);
   IQRO_CHECK(options_.per_query_work_budget >= 0);
   IQRO_CHECK(options_.quarantine_max_strikes >= 1);
   IQRO_CHECK(options_.quarantine_backoff_base_ticks >= 1);
   IQRO_CHECK(options_.quarantine_backoff_cap_ticks >=
              options_.quarantine_backoff_base_ticks);
-  IQRO_CHECK(options_.poll_interval.count() >= 0);
-  if (options_.worker_threads >= 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
-  }
   if (options_.pending_hard_watermark > 0) {
     registry_->SetPendingLimit(options_.pending_hard_watermark);
   }
   registry_->Subscribe(this);
-  // The timer starts last: everything it can reach is initialized.
-  if (options_.poll_interval.count() > 0) {
-    timer_ = std::thread([this] { TimerLoop(); });
-  }
 }
 
 ReoptSession::~ReoptSession() {
-  // Stop the timer FIRST: its polls walk queries_ and flush; nothing else
-  // may be torn down while it can still fire.
-  if (timer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(timer_mu_);
-      timer_stop_ = true;
-    }
-    timer_cv_.notify_all();
-    timer_.join();
-  }
   // Registered optimizers outlive the session, the summary store does not:
   // detach every remaining calculator before it goes away.
   for (Slot& slot : queries_) slot.optimizer->AttachSharedSummaryCache(nullptr);
@@ -82,23 +37,6 @@ ReoptSession::~ReoptSession() {
   // The backlog limit was this session's overload policy, not the
   // registry's: lift it for whoever uses the registry next.
   if (options_.pending_hard_watermark > 0) registry_->SetPendingLimit(0);
-  // pool_ (if any) drains and joins in its destructor: a dispatched pass
-  // never outlives the session that owns its optimizers' slots.
-}
-
-void ReoptSession::TimerLoop() {
-  std::unique_lock<std::mutex> lk(timer_mu_);
-  while (!timer_stop_) {
-    timer_cv_.wait_for(lk, options_.poll_interval);
-    if (timer_stop_) break;
-    lk.unlock();
-    {
-      // Unconditional gate: this thread is never the flush owner here.
-      GateLock gate(reg_gate_, true);
-      PollTick();
-    }
-    lk.lock();
-  }
 }
 
 ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer,
@@ -126,13 +64,6 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
   // forever. Pending-but-undrained changes are fine (the next flush seeds
   // them), as is being *ahead* of the last drain.
   IQRO_CHECK(optimizer->stats_epoch() >= registry_->drained_epoch());
-  if (pool_ != nullptr) {
-    // Pool dispatch runs this optimizer's fixpoint concurrently with its
-    // world-sharing peers: flip the shared read surfaces (split memo,
-    // PropTable, summary cache) to internal locking now, while still
-    // single-threaded. (Sticky — it survives quarantine teardowns.)
-    optimizer->EnableConcurrentFlushes();
-  }
   Slot slot;
   slot.id = next_id_;
   slot.optimizer = optimizer;
@@ -146,8 +77,7 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
   queries_.push_back(std::move(slot));
   // Cross-query summary sharing: point every registered calculator at the
   // session's epoch-keyed store (sound — same registry, checked above).
-  // Serial and pooled dispatch alike; the store is internally locked. Only
-  // attached from the second query on: a single-query session has nobody
+  // Only attached from the second query on: a single-query session has nobody
   // to share with, so it skips the store's lock traffic entirely.
   if (queries_.size() >= 2) {
     for (Slot& s : queries_) s.optimizer->AttachSharedSummaryCache(&summary_cache_);
@@ -161,9 +91,6 @@ ReoptSession::QueryId ReoptSession::RegisterImpl(DeclarativeOptimizer* optimizer
 
 QueryHandle ReoptSession::Register(DeclarativeOptimizer& optimizer,
                                    PlanSubscriber* subscriber) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   const QueryId id = RegisterImpl(&optimizer, subscriber);
   return QueryHandle(this, id, &optimizer, alive_);
 }
@@ -219,11 +146,6 @@ void ReoptSession::UnregisterImpl(QueryId id) {
   if (queries_.size() == 1) {
     queries_.front().optimizer->AttachSharedSummaryCache(nullptr);
   }
-  if (options_.flush_policy != nullptr) {
-    // Per-query policy state (CostGatedPolicy EWMAs) dies with the query.
-    std::lock_guard<std::mutex> lock(policy_mu_);
-    options_.flush_policy->OnQueryUnregistered(id);
-  }
   // Shrink the resident gauge NOW, not at the next dispatched flush: a
   // release followed by a coalesced-to-empty flush used to leave the dead
   // query's memo counted until the next real dispatch ran budget
@@ -231,20 +153,6 @@ void ReoptSession::UnregisterImpl(QueryId id) {
   // on the strength of bytes that no longer exist).
   metrics_.resident_memo_bytes = static_cast<int64_t>(ComputeResidentBytes());
   RefreshQuarantineIndex();
-}
-
-void ReoptSession::HandleRelease(QueryId id) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
-  UnregisterImpl(id);
-}
-
-void ReoptSession::HandleSubscribe(QueryId id, PlanSubscriber* subscriber) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
-  SetSubscriber(id, subscriber);
 }
 
 void ReoptSession::SetSubscriber(QueryId id, PlanSubscriber* subscriber) {
@@ -320,10 +228,6 @@ ReoptSession::PassResult ReoptSession::RunPass(DeclarativeOptimizer* optimizer,
   r.touched_alts = m.round_touched_alts;
   r.tasks_enqueued = m.tasks_enqueued - enqueued_before;
   if (want_digest) {
-    // On the worker: the digest reads only task-owned optimizer state plus
-    // the PropTable, which is already in concurrent mode under a pooled
-    // session — so digest work parallelizes with the fixpoints instead of
-    // serializing on the coordinator.
     r.digest = optimizer->ComputePlanDigest();
     r.digest_computed = true;
   }
@@ -557,9 +461,6 @@ void ReoptSession::EnforceMemoBudget(int64_t* evictions_this_flush) {
 }
 
 bool ReoptSession::EvictQuery(QueryId id) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   IQRO_CHECK(!notifying_);
   Slot* slot = FindSlot(id);
   IQRO_CHECK(slot != nullptr);
@@ -573,9 +474,6 @@ bool ReoptSession::EvictQuery(QueryId id) {
 }
 
 bool ReoptSession::RehydrateQuery(QueryId id) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   IQRO_CHECK(!notifying_);
   Slot* slot = FindSlot(id);
   IQRO_CHECK(slot != nullptr);
@@ -613,9 +511,6 @@ constexpr uint8_t kQueryWarm = 1;  // u64 stats epoch + length-prefixed seed
 }  // namespace
 
 void ReoptSession::SaveSnapshot(const std::string& path) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   IQRO_CHECK(!notifying_);
   // Settle first: drain whatever is pending so the snapshot captures a
   // fixpoint state (every warm query exact w.r.t. the drained epoch).
@@ -655,9 +550,6 @@ void ReoptSession::SaveSnapshot(const std::string& path) {
 
 std::vector<QueryHandle> ReoptSession::LoadSnapshot(
     const std::string& path, const std::vector<DeclarativeOptimizer*>& optimizers) {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
   IQRO_CHECK(!notifying_);
   IQRO_CHECK(queries_.empty());
   // The reader checksums and frames every section before returning, and
@@ -754,23 +646,19 @@ std::vector<QueryHandle> ReoptSession::LoadSnapshot(
 
 size_t ReoptSession::Flush() {
   // One flush at a time: a second caller (policy reentrancy, or a
-  // mutator-thread flush racing the coordinator's) backs off — whatever it
+  // mutator-thread flush racing the owner's) backs off — whatever it
   // wanted drained is either in the in-flight batch or stays pending for
   // the next flush.
   if (in_flush_.exchange(true)) return 0;
   // Timed from here (drain through delivery and budget enforcement); the
   // epilogue stamps the elapsed wall time into the FlushReport.
   const auto flush_started = std::chrono::steady_clock::now();
-  flush_owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   // RAII: an exception escaping the flush (a subscriber callback's throw)
   // must not leave in_flush_ stuck true — that would silently turn every
   // later Flush() into a no-op.
   struct InFlushGuard {
     ReoptSession* s;
-    ~InFlushGuard() {
-      s->flush_owner_.store(std::thread::id{}, std::memory_order_relaxed);
-      s->in_flush_.store(false);
-    }
+    ~InFlushGuard() { s->in_flush_.store(false); }
   } in_flush_guard{this};
   // One tick of the retry clock per flush (quarantine backoffs count in
   // these).
@@ -827,7 +715,7 @@ size_t ReoptSession::Flush() {
     // its baseline and the coalescer absorbed it: no optimizer runs, no
     // events fire (net-zero churn is invisible by construction).
     if (batch.had_pending) ++metrics_.empty_flushes;
-    PolicyOnFlush(FlushOptStats{}, 0);
+    PolicyOnFlush();
     return 0;
   }
   if (!batch.changes.empty()) {
@@ -837,7 +725,6 @@ size_t ReoptSession::Flush() {
     // does no fixpoint work and must leave last_flush() describing the
     // most recent NON-EMPTY flush, per its contract.
     last_flush_ = FlushOptStats{};
-    last_pass_work_.clear();
     // Rehab-phase events were built before the flush counter advanced:
     // restamp so they carry the same index this flush's plan events will.
     for (ServiceEvent& se : service_events) {
@@ -888,15 +775,14 @@ size_t ReoptSession::Flush() {
         FlushReport report;
         // Registry reads BEFORE policy_mu_ (lock order; see PolicyOnFlush).
         report.mutations_rejected = s->registry_->RejectedCount();
-        // Safe relaxed reads: the dispatch window is over, so no worker
-        // can still be feeding the store.
+        // Safe relaxed reads: the dispatch window is over.
         report.summary_shared_hits = s->summary_cache_.hits();
         report.summary_shared_misses = s->summary_cache_.misses();
         {
           // metrics_.mutations_observed/watermark_flushes are written by
           // mutator threads under policy_mu_ (concurrent Record() during a
           // flush is supported), so the struct copy snapshots under the
-          // same mutex; every other field is coordinator-only.
+          // same mutex; every other field belongs to the flushing thread.
           std::lock_guard<std::mutex> lock(s->policy_mu_);
           report.session = s->metrics_;
         }
@@ -918,7 +804,7 @@ size_t ReoptSession::Flush() {
         report.opt = s->last_flush_;
         s->options_.metrics_exporter->OnFlushMetrics(report);
       }
-      s->PolicyOnFlush(s->last_flush_, changes);
+      s->PolicyOnFlush();
     }
   } epilogue{this,
              flush_started,
@@ -960,66 +846,30 @@ size_t ReoptSession::Flush() {
   std::vector<PassResult> results;
   results.reserve(queries_.size());
   // Per-index failure capture: a throwing pass becomes a quarantine for
-  // THAT query after the join; it never unwinds the flush. (The drained
+  // THAT query after dispatch; it never unwinds the flush. (The drained
   // batch is irrecoverable, so every other query must still receive its
   // pass — otherwise the skipped queries would be stamped past deltas
   // they never saw and diverge permanently.)
   std::vector<std::exception_ptr> errors(queries_.size());
   {
     // Freeze the statistics values for the whole dispatch window: every
-    // pass — on whichever thread — reads exactly the drained epoch's
-    // values; racing mutators block here and land in the next batch.
+    // pass reads exactly the drained epoch's values; racing mutators block
+    // here and land in the next batch.
     auto stats_frozen = registry_->ReaderLock();
-    if (pool_ != nullptr) {
-      // One future per slot; quarantined/parked slots keep an invalid
-      // future (no task) and fall out as undispatched placeholders.
-      std::vector<std::future<PassResult>> passes(queries_.size());
-      for (size_t i = 0; i < queries_.size(); ++i) {
-        const Slot& slot = queries_[i];
-        if (slot.state != QueryState::kHealthy || slot.evicted) continue;
-        DeclarativeOptimizer* optimizer = slot.optimizer;
-        const bool want_digest = slot.subscriber != nullptr;
-        const bool force_digest = want_digest && slot.rediff_pending;
-        const int64_t budget = options_.per_query_work_budget;
-        passes[i] =
-            pool_->Submit([optimizer, &batch, want_digest, force_digest, budget] {
-              return RunPass(optimizer, batch.changes, batch.epoch, want_digest,
-                             force_digest, budget);
-            });
+    for (size_t i = 0; i < queries_.size(); ++i) {
+      const Slot& slot = queries_[i];
+      if (slot.state != QueryState::kHealthy || slot.evicted) {
+        results.push_back(PassResult{});
+        continue;
       }
-      // Join in registration order: result[i] belongs to queries_[i], and
-      // deterministic order keeps aggregation and event computation
-      // honest. Every future is joined whatever fails — queued tasks
-      // capture &batch (this stack frame) and read the reader-locked
-      // statistics, so none may outlive this block.
-      for (size_t i = 0; i < passes.size(); ++i) {
-        if (!passes[i].valid()) {
-          results.push_back(PassResult{});
-          continue;
-        }
-        try {
-          results.push_back(passes[i].get());
-        } catch (...) {
-          errors[i] = std::current_exception();
-          results.push_back(PassResult{});  // keep index alignment
-        }
-      }
-    } else {
-      for (size_t i = 0; i < queries_.size(); ++i) {
-        const Slot& slot = queries_[i];
-        if (slot.state != QueryState::kHealthy || slot.evicted) {
-          results.push_back(PassResult{});
-          continue;
-        }
-        const bool want_digest = slot.subscriber != nullptr;
-        try {
-          results.push_back(RunPass(slot.optimizer, batch.changes, batch.epoch,
-                                    want_digest, want_digest && slot.rediff_pending,
-                                    options_.per_query_work_budget));
-        } catch (...) {
-          errors[i] = std::current_exception();
-          results.push_back(PassResult{});
-        }
+      const bool want_digest = slot.subscriber != nullptr;
+      try {
+        results.push_back(RunPass(slot.optimizer, batch.changes, batch.epoch, want_digest,
+                                  want_digest && slot.rediff_pending,
+                                  options_.per_query_work_budget));
+      } catch (...) {
+        errors[i] = std::current_exception();
+        results.push_back(PassResult{});
       }
     }
   }
@@ -1070,9 +920,6 @@ size_t ReoptSession::Flush() {
     AggregatePass(r);
     if (r.affected) {
       slot.last_active_tick = ticks_.load(std::memory_order_relaxed);
-      // The CostGatedPolicy per-query feed (PolicyOnFlush hands these to
-      // OnQueryPassWork at epilogue time).
-      last_pass_work_.emplace_back(slot.id, r.fixpoint_steps + r.eps_seeded);
     } else {
       ++skipped_this_flush;
     }
@@ -1102,7 +949,7 @@ size_t ReoptSession::Flush() {
     }
   }
   // Dispatch-phase strikes changed the quarantine set: refresh the
-  // timer-readable index before delivery can re-enter anything.
+  // Poll-readable index before delivery can re-enter anything.
   RefreshQuarantineIndex();
   // Every slot's baseline/rediff state is now consistent; delivery-phase
   // throws are handled by settle-before-fire, not by the unwind guard.
@@ -1180,7 +1027,7 @@ size_t ReoptSession::Flush() {
   return batch.changes.size();
 }
 
-void ReoptSession::PolicyOnFlush(const FlushOptStats& stats, int64_t changes) {
+void ReoptSession::PolicyOnFlush() {
   if (options_.flush_policy == nullptr) return;  // no registry probe either
   // Mutations that raced this flush are already pending for the next
   // epoch; a time-based policy re-arms on them instead of disarming. The
@@ -1200,14 +1047,7 @@ void ReoptSession::PolicyOnFlush(const FlushOptStats& stats, int64_t changes) {
   // reset-before-drain over-count.
   const size_t pending_after =
       std::max(probed, mutations_since_flush_ > 0 ? size_t{1} : size_t{0});
-  if (changes > 0) {
-    // Per-query observations before the flush summary: a history-keeping
-    // policy's OnFlush sees this flush's per-query state already applied.
-    for (const auto& work : last_pass_work_) {
-      options_.flush_policy->OnQueryPassWork(work.first, work.second, changes);
-    }
-  }
-  options_.flush_policy->OnFlush(stats, changes, pending_after);
+  options_.flush_policy->OnFlush(pending_after);
 }
 
 size_t ReoptSession::MaybePolicyFlush(const StatsMutationEvent* event) {
@@ -1259,13 +1099,6 @@ size_t ReoptSession::MaybePolicyFlush(const StatsMutationEvent* event) {
 }
 
 size_t ReoptSession::Poll() {
-  GateLock gate(reg_gate_,
-                timer_.joinable() && flush_owner_.load(std::memory_order_relaxed) !=
-                                         std::this_thread::get_id());
-  return PollTick();
-}
-
-size_t ReoptSession::PollTick() {
   // A poll while a flush runs has nothing to add: the flush ticks, rehabs,
   // and re-arms the policy itself.
   if (in_flush_.load()) return 0;
@@ -1318,14 +1151,14 @@ void QueryHandle::Subscribe(PlanSubscriber* subscriber) {
   // Session already destroyed: the registration died with it — defined
   // no-op, consistent with Release() and the destructor.
   if (alive_ == nullptr || !*alive_) return;
-  session_->HandleSubscribe(id_, subscriber);
+  session_->SetSubscriber(id_, subscriber);
 }
 
 void QueryHandle::Release() {
   if (session_ == nullptr) return;
   // A handle outliving its session is legal (the token flipped): nothing
   // left to unregister — the dead session already dropped every slot.
-  if (alive_ != nullptr && *alive_) session_->HandleRelease(id_);
+  if (alive_ != nullptr && *alive_) session_->UnregisterImpl(id_);
   session_ = nullptr;
   optimizer_ = nullptr;
   alive_.reset();

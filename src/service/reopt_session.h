@@ -42,10 +42,8 @@
 //
 // Flush triggering is a pluggable FlushPolicy (service/flush_policy.h):
 // CountPolicy flushes every N mutations, DeadlinePolicy bounds wall-clock
-// staleness (drive it via Poll() or the built-in timer, below),
-// CostGatedPolicy bounds the expected re-fixpoint work of a pending batch
-// using per-query work history. Session metrics stream out through a
-// MetricsExporter (service/metrics_exporter.h).
+// staleness (drive it via Poll(), below). Session metrics stream out
+// through a MetricsExporter (service/metrics_exporter.h).
 //
 // ## Notification semantics (the exactness contract)
 //
@@ -137,59 +135,40 @@
 //
 // ## Threading model
 //
-// Three independent degrees of concurrency, all off by default:
+// The session starts no threads. Every per-query fixpoint of a flush runs
+// serially, in registration order, on the thread that called Flush() (or
+// whose mutation or Poll() triggered a policy flush). Parallelism across
+// worlds comes from running one session per shard thread
+// (server/sharded_service.h), never from inside one session.
 //
-//  * **Parallel dispatch** (`ReoptSessionOptions::worker_threads >= 1`):
-//    Flush() drains one epoch-versioned batch, then dispatches the
-//    per-query ReoptimizeBatch() passes onto a fixed-size worker pool
-//    (common/thread_pool.h) instead of running them in registration order
-//    on the calling thread. Each optimizer — its memo, arena, worklist,
-//    metrics — is owned by exactly one pool task per flush (the task also
-//    computes the post-flush PlanDigest for subscribed queries, so digest
-//    work parallelizes with the fixpoints); the *shared* world state an
-//    optimizer reads while fixpointing (split memo, PropTable, summary
-//    cache) is switched to internal locking at Register() time
-//    (DeclarativeOptimizer::EnableConcurrentFlushes), and the statistics
-//    values are frozen for the whole dispatch window by the registry's
-//    reader lock. Per-flush metrics and events are aggregated from the
-//    task futures on the coordinator, in registration order — race-free
-//    by construction, not by atomics; subscribers always run on the
-//    flushing thread, serial and pooled dispatch alike.
-//    `worker_threads == 0` keeps the serial dispatch path, byte-identical
-//    to the pre-pool behavior.
+// Two kinds of cross-thread traffic are supported:
 //
 //  * **Concurrent mutation**: statistics producers may Record() from other
 //    threads while a flush runs. The registry's mutation lock serializes
 //    them against the drain and the dispatch window: a racing mutation
 //    lands in the *next* epoch's batch, never lost, never double-applied
 //    (tests/concurrency_test.cpp). Between the drain and the next flush it
-//    simply sits pending — the same staleness window as always. FlushPolicy
-//    evaluation is serialized under the session's policy mutex whatever
-//    thread mutates.
+//    simply sits pending — the same staleness window as always.
 //
-//  * **Timer-driven polling** (`ReoptSessionOptions::poll_interval > 0`):
-//    the session owns one background thread that calls Poll() every
-//    interval, so DeadlinePolicy deadlines and quarantine-backoff
-//    expirations fire without the application running a driver loop. The
-//    timer serializes against Register/Unregister/Subscribe through an
-//    internal gate (those calls remain owner-thread operations; they just
-//    briefly block while a timer poll runs), and its flushes exclude
-//    manual ones via `in_flush_` like any other. Policies still see
-//    injected Clocks; the timer only decides *when to ask*, never what
-//    time it is.
+//  * **Policy flushes on those threads**: a mutation (or a Poll()) on any
+//    thread evaluates the FlushPolicy under the session's policy mutex and
+//    may flush right there. `in_flush_` admits one flush at a time; a
+//    caller that loses the race backs off and its mutation rides the
+//    in-flight flush or the next one. Time-based policies and quarantine
+//    backoffs fire only when someone calls Poll() — the owner's event
+//    loop, as the ShardedService shard loop does. Policies still see
+//    injected Clocks; Poll() only decides *when to ask*, never what time
+//    it is.
 //
-// Register/Unregister/Subscribe and session destruction remain
-// single-threaded calls: do them from the thread that owns the session,
-// with no flush in flight on a *mutator* thread (the two exceptions:
-// the timer thread, gated as above, and Unregister from inside a
-// subscriber callback, which defers). docs/ARCHITECTURE.md has the full
-// ownership/epoch lifecycle.
+// Register/Unregister/Subscribe, eviction, snapshots and session
+// destruction remain single-threaded calls: do them from the thread that
+// owns the session, with no flush in flight on another thread (the one
+// exception: Unregister from inside a subscriber callback, which defers).
+// docs/ARCHITECTURE.md has the full ownership/epoch lifecycle.
 #ifndef IQRO_SERVICE_REOPT_SESSION_H_
 #define IQRO_SERVICE_REOPT_SESSION_H_
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <limits>
@@ -197,11 +176,9 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/declarative_optimizer.h"
 #include "service/flush_policy.h"
 #include "service/metrics_exporter.h"
@@ -233,11 +210,6 @@ enum class QueryState : uint8_t {
 };
 
 struct ReoptSessionOptions {
-  /// 0: Flush() dispatches every per-query fixpoint serially on the
-  /// calling thread — the pre-pool path, byte-identical results and
-  /// behavior. N >= 1: dispatch on a fixed pool of N worker threads (one
-  /// task per registered query per flush; see the threading model above).
-  int worker_threads = 0;
   /// When to auto-flush (service/flush_policy.h). Null: manual Flush()
   /// only. Evaluated after every value-changing mutation and on Poll();
   /// shared so options stay copyable — one policy instance per session.
@@ -276,11 +248,6 @@ struct ReoptSessionOptions {
   /// session's memory under mutation storms. 0: unbounded.
   size_t pending_hard_watermark = 0;
 
-  /// > 0: start a session-owned timer thread that calls Poll() at this
-  /// interval (deadline policies and quarantine backoffs fire without an
-  /// application driver loop). 0: no thread; drive Poll() yourself.
-  std::chrono::milliseconds poll_interval{0};
-
   // ---- memo lifecycle ----
 
   /// > 0: session-wide memo residency budget in (estimated) bytes. After
@@ -302,9 +269,8 @@ class ReoptSession final : public StatsSubscriber {
  public:
   using QueryId = int;
 
-  /// `registry` must outlive the session. Subscribes immediately; applies
-  /// `pending_hard_watermark` to the registry and starts the poll timer
-  /// (if configured) before returning.
+  /// `registry` must outlive the session. Subscribes immediately and
+  /// applies `pending_hard_watermark` to the registry before returning.
   explicit ReoptSession(StatsRegistry* registry, ReoptSessionOptions options = {});
   ~ReoptSession() override;
 
@@ -346,8 +312,8 @@ class ReoptSession final : public StatsSubscriber {
 
   /// Drains the registry's coalesced pending batch, dispatches it as one
   /// ReoptimizeBatch() pass to every registered healthy optimizer whose
-  /// relation set the batch can affect — serially or on the worker pool,
-  /// per `worker_threads` — then fires events and the metrics export.
+  /// relation set the batch can affect — serially, on the calling thread —
+  /// then fires events and the metrics export.
   /// Quarantined queries due for retry are rebuilt first. Returns the
   /// number of StatChanges dispatched; 0 when the batch coalesced away (or
   /// nothing was pending, or another thread's flush is already in flight —
@@ -356,9 +322,10 @@ class ReoptSession final : public StatsSubscriber {
 
   /// Consults the flush policy and the quarantine retry schedule without a
   /// mutation having arrived — the driver-loop hook for time-based
-  /// policies and backoff expiry (the session's poll timer calls exactly
-  /// this). Flushes and returns the dispatched change count when either
-  /// says so; otherwise 0.
+  /// policies and backoff expiry (the ShardedService shard loop calls it
+  /// when idle). Flushes and returns the dispatched change count when
+  /// either says so; otherwise 0. Callable from any thread, like a
+  /// mutation.
   size_t Poll();
 
   // ---- memo lifecycle (docs/ARCHITECTURE.md "Memo lifecycle") ----
@@ -410,16 +377,13 @@ class ReoptSession final : public StatsSubscriber {
   /// Flush() (one that drained, not one that returned 0 because another
   /// thread's flush held `in_flush_` — backing off does not synchronize
   /// with that flush's writes), or after every mutator thread has joined.
-  /// With a policy + a mutator thread (or the poll timer), a flush may be
-  /// running on *their* thread at any moment — quiesce first.
+  /// With a policy + a mutator or polling thread, a flush may be running
+  /// on *their* thread at any moment — quiesce first.
   const ReoptSessionMetrics& metrics() const { return metrics_; }
 
   /// OptMetrics aggregate of the most recent non-empty flush (read rules
   /// above); zeroed at session construction.
   const FlushOptStats& last_flush() const { return last_flush_; }
-
-  /// The dispatch pool's size (0 = serial dispatch).
-  int worker_threads() const { return pool_ ? pool_->size() : 0; }
 
   /// The session's cross-query summary store: every registered query's
   /// SummaryCalculator is attached to it at Register() time, so queries
@@ -481,8 +445,8 @@ class ReoptSession final : public StatsSubscriber {
     int64_t last_active_tick = 0;
   };
 
-  /// What one dispatched pass reports back to the coordinator (by value,
-  /// through the task future — the race-free aggregation path).
+  /// What one dispatched pass reports back for aggregation and event
+  /// computation (outside the registry reader lock).
   struct PassResult {
     /// False for the placeholder of a quarantined/parked (skipped) or
     /// failed pass; RunPass sets it true on every path that returns.
@@ -514,7 +478,6 @@ class ReoptSession final : public StatsSubscriber {
   };
 
   /// One per-query pass: prefilter, ReoptimizeBatch, metrics delta, digest.
-  /// Runs on a pool worker (parallel) or the flushing thread (serial).
   /// `force_digest` re-derives the digest even for a prefiltered-away
   /// query (Slot::rediff_pending — an unsettled event from a prior flush).
   /// `work_budget` > 0 bounds the fixpoint (quarantine on excess).
@@ -533,21 +496,16 @@ class ReoptSession final : public StatsSubscriber {
   Slot* FindSlot(QueryId id);
   const Slot* FindSlot(QueryId id) const;
 
-  /// Timer-gated QueryHandle entry points (lock reg_gate_ unless called
-  /// from the flushing thread itself — i.e. from inside a callback).
-  void HandleRelease(QueryId id);
-  void HandleSubscribe(QueryId id, PlanSubscriber* subscriber);
-
   /// Rebuilds every quarantined query whose backoff expired; appends the
   /// resulting service events and updates the per-flush strike/rehab
-  /// counters. Coordinator only, called at flush start.
+  /// counters. Called at flush start.
   void AttemptRehabs(uint64_t epoch, std::vector<ServiceEvent>* events,
                      int64_t* strikes, int64_t* rehabs);
   /// Quarantines `slot` for the failure in `err` (classify, tear down if
   /// needed, schedule/park, emit the event). Bumps *strikes.
   void RecordStrike(Slot& slot, const std::exception_ptr& err, uint64_t epoch,
                     std::vector<ServiceEvent>* events, int64_t* strikes);
-  /// Recomputes the timer-readable quarantine atomics from queries_.
+  /// Recomputes the Poll-readable quarantine atomics from queries_.
   void RefreshQuarantineIndex();
   /// Spills `slot`'s memo to its seed and tears the optimizer down
   /// (requires healthy + optimized + not evicted).
@@ -564,18 +522,14 @@ class ReoptSession final : public StatsSubscriber {
   /// `memo_byte_budget` (no-op without a budget) and refreshes the
   /// resident_memo_bytes gauge either way.
   void EnforceMemoBudget(int64_t* evictions_this_flush);
-  /// Poll body (caller holds the registration gate when one is needed).
-  size_t PollTick();
-  void TimerLoop();
 
   /// Evaluates the policy and the soft watermark under `policy_mu_` and
   /// flushes on demand. `event` is null for Poll() probes.
   size_t MaybePolicyFlush(const StatsMutationEvent* event);
   /// The one OnFlush protocol (empty and dispatched flushes alike): read
-  /// the post-drain pending count, then hand the per-query work
-  /// observations and the flush summary to the policy under `policy_mu_`.
-  /// Registry reads always happen BEFORE the policy mutex.
-  void PolicyOnFlush(const FlushOptStats& stats, int64_t changes);
+  /// the post-drain pending count, then hand it to the policy under
+  /// `policy_mu_`. Registry reads always happen BEFORE the policy mutex.
+  void PolicyOnFlush();
 
   StatsRegistry* registry_;
   ReoptSessionOptions options_;
@@ -585,7 +539,6 @@ class ReoptSession final : public StatsSubscriber {
   /// before queries_ so it outlives any attachment teardown.
   SharedSummaryCache summary_cache_;
   std::vector<Slot> queries_;
-  std::unique_ptr<ThreadPool> pool_;  // null when worker_threads == 0
   QueryId next_id_ = 0;
   /// Liveness token handles hold: *alive_ flips false in the destructor so
   /// a handle outliving its session no-ops instead of touching freed
@@ -594,37 +547,21 @@ class ReoptSession final : public StatsSubscriber {
   /// Guards the mutation-policy state OnStatsMutated/Poll touch from
   /// mutator threads — including the FlushPolicy instance itself, whose
   /// calls are serialized under this mutex (everything else in this class
-  /// is coordinator-only).
+  /// belongs to the flushing thread).
   std::mutex policy_mu_;
   int64_t mutations_since_flush_ = 0;
-  /// (query id, fixpoint work) of the most recent dispatched flush's
-  /// affected passes — the OnQueryPassWork feed. Written by the
-  /// coordinator during aggregation, read in PolicyOnFlush under
-  /// policy_mu_ on the same thread.
-  std::vector<std::pair<QueryId, int64_t>> last_pass_work_;
   /// Mutual exclusion + reentrancy guard for Flush (policy-triggered
   /// callbacks, racing mutator-thread flushes).
   std::atomic<bool> in_flush_{false};
-  /// The thread driving the current flush (id{} when none): lets the
-  /// registration gate recognize callback-reentrant handle operations on
-  /// the timer thread and skip re-locking the gate it already holds.
-  std::atomic<std::thread::id> flush_owner_{};
   /// The retry clock (see ticks()). Relaxed: a lower-bound logical clock;
   /// backoffs are "at least N ticks".
   std::atomic<int64_t> ticks_{0};
-  /// Timer-readable quarantine index (the timer must never walk queries_,
-  /// which the coordinator resizes): count of kQuarantined slots and the
-  /// earliest eligible_at_tick among them (INT64_MAX when none).
+  /// Poll-readable quarantine index (a Poll() on another thread must never
+  /// walk queries_, which the owner resizes): count of kQuarantined slots
+  /// and the earliest eligible_at_tick among them (INT64_MAX when none).
   std::atomic<int64_t> quarantined_count_{0};
   std::atomic<int64_t> next_rehab_tick_{std::numeric_limits<int64_t>::max()};
-  /// Serializes the timer thread's Poll against owner-thread
-  /// Register/Unregister/Subscribe. Only engaged when a timer exists.
-  std::mutex reg_gate_;
-  std::thread timer_;
-  std::mutex timer_mu_;
-  std::condition_variable timer_cv_;
-  bool timer_stop_ = false;
-  /// True while events are being delivered (coordinator thread only):
+  /// True while events are being delivered (flushing thread only):
   /// Unregister defers, Register checks.
   bool notifying_ = false;
   std::vector<QueryId> deferred_unregister_;

@@ -1,30 +1,33 @@
-// Concurrency contracts of the parallel ReoptSession flush and its
-// ThreadPool substrate. The *equivalence* of parallel and serial flushes
-// is proven at scale by the randomized differential harness (pooled
-// scenarios run a serial mirror world in lockstep — docs/TESTING.md);
-// these tests pin the deterministic contracts:
+// Concurrency contracts of a ReoptSession, which starts no threads of its
+// own: every flush runs its per-query fixpoints serially on the flushing
+// thread. What other threads may do is mutate statistics — and, through
+// the flush policy, flush on their own thread. These tests pin:
 //
-//   * ThreadPool futures deliver results; destructor-drain runs every
-//     accepted task exactly once (shutdown mid-queue loses nothing).
-//   * A 4-worker flush drives every registered query to its from-scratch
-//     oracle state, byte-identically to a serial twin session.
+//   * a multi-query flush drives every registered query to its
+//     from-scratch oracle state;
 //   * Record() racing Flush() from a second thread lands in the next
-//     epoch's batch — no mutation is lost, none is applied twice.
-//   * Auto-flush firing on a mutator thread dispatches correctly.
+//     epoch's batch — no mutation is lost, none is applied twice;
+//   * auto-flush firing on a mutator thread dispatches correctly;
+//   * events fire exactly once per changed query, in registration order,
+//     on the flushing thread.
 //
-// The whole file is the primary target of the ThreadSanitizer CI job: its
-// value is as much "TSan sees these interleavings race-free" as the
-// assertions themselves.
+// Cross-shard parallelism (one session per shard thread) is covered by
+// server_test. The whole file is a primary target of the ThreadSanitizer
+// CI job: its value is as much "TSan sees these interleavings race-free"
+// as the assertions themselves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/declarative_optimizer.h"
 #include "service/reopt_session.h"
 #include "test_util.h"
@@ -33,58 +36,7 @@ namespace iqro::testing {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, FuturesDeliverResults) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
-  }
-}
-
-// Deterministic shutdown: destroying the pool with tasks still queued
-// *drains* — every accepted task runs exactly once before the workers
-// join. This is what lets a session tear down mid-stream without leaving
-// optimizers half-dispatched.
-TEST(ThreadPoolTest, ShutdownDrainsQueuedTasks) {
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      futures.push_back(pool.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ran.fetch_add(1);
-      }));
-    }
-    // Destructor runs here, with most of the queue still pending.
-  }
-  EXPECT_EQ(ran.load(), 32);
-  for (auto& f : futures) {
-    EXPECT_TRUE(f.wait_for(std::chrono::seconds(0)) == std::future_status::ready);
-  }
-}
-
-TEST(ThreadPoolTest, WorkerMaySubmitFollowUpWork) {
-  ThreadPool pool(2);
-  std::promise<int> inner_done;
-  std::future<int> inner = inner_done.get_future();
-  pool.Submit([&pool, &inner_done] {
-     // A worker scheduling follow-up work must not deadlock (tasks are
-     // never run inline, and the queue lock is not held while executing).
-     pool.Submit([&inner_done] { inner_done.set_value(7); });
-   }).get();
-  EXPECT_EQ(inner.get(), 7);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel session flush
+// Session flush with concurrent mutators
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<TestWorld> ChainWorld(int relations = 6, uint64_t seed = 17) {
@@ -112,8 +64,8 @@ const std::vector<OptimizerOptions>& QueryConfigs() {
 }
 
 /// Scripted churn round r: a mix of swings, an oscillation that nets to
-/// zero, and a scan-cost change — deterministic, so serial and parallel
-/// twins see identical streams.
+/// zero, and a scan-cost change — deterministic, so every run sees the
+/// identical stream.
 void ApplyChurnRound(StatsRegistry& reg, int r) {
   const double rows1 = reg.base_rows(1);
   reg.SetBaseRows(1, std::max(1.0, rows1 * ((r % 2) != 0 ? 2.5 : 0.4)));
@@ -124,9 +76,9 @@ void ApplyChurnRound(StatsRegistry& reg, int r) {
   if (r % 2 != 0) reg.SetCardMultiplier(0b11, 1.0 + 0.5 * (r % 3));
 }
 
-// An N-query session flushed on 4 workers lands every registered query in
-// its from-scratch oracle state after every flush.
-TEST(ParallelFlushTest, FourWorkerFlushMatchesFreshOracles) {
+// An N-query session lands every registered query in its from-scratch
+// oracle state after every flush.
+TEST(SessionConcurrencyTest, MultiQueryFlushMatchesFreshOracles) {
   auto world = ChainWorld();
   std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
   for (const OptimizerOptions& o : QueryConfigs()) {
@@ -134,10 +86,7 @@ TEST(ParallelFlushTest, FourWorkerFlushMatchesFreshOracles) {
         world->enumerator.get(), world->cost_model.get(), &world->registry, o));
     opts.back()->Optimize();
   }
-  ReoptSessionOptions so;
-  so.worker_threads = 4;
-  ReoptSession session(&world->registry, so);
-  EXPECT_EQ(session.worker_threads(), 4);
+  ReoptSession session(&world->registry);
   std::vector<QueryHandle> handles;
   for (auto& o : opts) handles.push_back(session.Register(*o));
 
@@ -154,53 +103,11 @@ TEST(ParallelFlushTest, FourWorkerFlushMatchesFreshOracles) {
   EXPECT_GT(session.last_flush().fixpoint_steps, 0);
 }
 
-// worker_threads=0 and worker_threads=4 twin sessions over twin worlds see
-// the same mutation stream and must land byte-identical, flush after flush
-// — the serial path is the reference the pool must reproduce exactly.
-TEST(ParallelFlushTest, SerialAndParallelSessionsAreByteIdentical) {
-  auto world_s = ChainWorld();
-  auto world_p = ChainWorld();  // deterministic twin
-
-  std::vector<std::unique_ptr<DeclarativeOptimizer>> serial_opts, parallel_opts;
-  for (const OptimizerOptions& o : QueryConfigs()) {
-    serial_opts.push_back(std::make_unique<DeclarativeOptimizer>(
-        world_s->enumerator.get(), world_s->cost_model.get(), &world_s->registry, o));
-    serial_opts.back()->Optimize();
-    parallel_opts.push_back(std::make_unique<DeclarativeOptimizer>(
-        world_p->enumerator.get(), world_p->cost_model.get(), &world_p->registry, o));
-    parallel_opts.back()->Optimize();
-  }
-  ReoptSession serial_session(&world_s->registry);
-  ReoptSessionOptions po;
-  po.worker_threads = 4;
-  ReoptSession parallel_session(&world_p->registry, po);
-  std::vector<QueryHandle> serial_handles, parallel_handles;
-  for (auto& o : serial_opts) serial_handles.push_back(serial_session.Register(*o));
-  for (auto& o : parallel_opts) parallel_handles.push_back(parallel_session.Register(*o));
-
-  for (int r = 0; r < 6; ++r) {
-    ApplyChurnRound(world_s->registry, r);
-    ApplyChurnRound(world_p->registry, r);
-    const size_t n_serial = serial_session.Flush();
-    const size_t n_parallel = parallel_session.Flush();
-    EXPECT_EQ(n_serial, n_parallel) << "round " << r;
-    for (size_t q = 0; q < serial_opts.size(); ++q) {
-      EXPECT_EQ(parallel_opts[q]->CanonicalDumpState(), serial_opts[q]->CanonicalDumpState())
-          << "query " << q << " diverged at round " << r;
-    }
-  }
-  // The aggregated per-flush metrics agree too: same batch, same seeding,
-  // same fixpoint work — only the dispatch threads differ.
-  EXPECT_EQ(parallel_session.metrics().reopt_passes, serial_session.metrics().reopt_passes);
-  EXPECT_EQ(parallel_session.metrics().eps_seeded, serial_session.metrics().eps_seeded);
-  EXPECT_EQ(parallel_session.last_flush().eps_seeded, serial_session.last_flush().eps_seeded);
-}
-
 // Record() racing Flush() from a second thread: every mutation either
 // makes the batch a flush drains or stays pending for the next one —
 // nothing is lost, nothing applies twice. After the mutator joins, one
 // final flush must land every optimizer exactly in its oracle state.
-TEST(ParallelFlushTest, RecordRacingFlushLandsInNextEpoch) {
+TEST(SessionConcurrencyTest, RecordRacingFlushLandsInNextEpoch) {
   auto world = ChainWorld();
   std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
   for (const OptimizerOptions& o : QueryConfigs()) {
@@ -209,7 +116,6 @@ TEST(ParallelFlushTest, RecordRacingFlushLandsInNextEpoch) {
     opts.back()->Optimize();
   }
   ReoptSessionOptions so;
-  so.worker_threads = 2;
   // Exporter attached: the flush epilogue's metrics snapshot must be
   // race-free against the concurrent mutator (TSan checks it here).
   JsonMetricsExporter exporter;
@@ -252,16 +158,15 @@ TEST(ParallelFlushTest, RecordRacingFlushLandsInNextEpoch) {
   EXPECT_GE(flushed_batches, 1);
 }
 
-// Auto-flush with a pool: the threshold callback fires Flush() on the
-// *mutator's* thread, which dispatches to the pool and joins there.
-TEST(ParallelFlushTest, AutoFlushDispatchesFromMutatorThread) {
+// Auto-flush: the threshold callback fires Flush() on the *mutator's*
+// thread, which runs every pass of that flush there.
+TEST(SessionConcurrencyTest, AutoFlushDispatchesFromMutatorThread) {
   auto world = ChainWorld();
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
                            &world->registry);
   opt.Optimize();
   ReoptSessionOptions so;
   so.flush_policy = std::make_shared<CountPolicy>(4);
-  so.worker_threads = 2;
   ReoptSession session(&world->registry, so);
   QueryHandle handle = session.Register(opt);
 
@@ -277,26 +182,20 @@ TEST(ParallelFlushTest, AutoFlushDispatchesFromMutatorThread) {
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
 
-// Notification semantics under the pool: per flush, every subscribed query
-// fires at most once, events arrive on the flushing thread in registration
-// order, and a 4-worker session's event stream is field-identical to its
-// serial twin's — the digests are computed on the workers, but delivery is
-// coordinated. (TSan covers the interleavings; the assertions pin the
-// exactly-once and ordering contracts.)
-TEST(ParallelFlushTest, SubscriberEventsExactlyOnceInRegistrationOrder) {
+// Notification semantics: per flush, every subscribed query fires at most
+// once, events arrive on the flushing thread in registration order, and an
+// event fires exactly when the query's canonical plan changed.
+TEST(SessionConcurrencyTest, SubscriberEventsExactlyOnceInRegistrationOrder) {
   struct Recorded {
     int query_id;
     int64_t flush_index;
-    double old_cost, new_cost;
-    PlanDiffSummary diff;
   };
   class Recorder final : public PlanSubscriber {
    public:
     Recorder(std::vector<Recorded>* out, std::thread::id home) : out_(out), home_(home) {}
     void OnPlanChange(const PlanChangeEvent& e) override {
-      // Delivery happens on the flushing thread, never a pool worker.
-      EXPECT_EQ(std::this_thread::get_id(), home_);
-      out_->push_back({e.query_id, e.flush_index, e.old_cost, e.new_cost, e.diff});
+      EXPECT_EQ(std::this_thread::get_id(), home_);  // delivered on the flushing thread
+      out_->push_back({e.query_id, e.flush_index});
     }
 
    private:
@@ -304,71 +203,6 @@ TEST(ParallelFlushTest, SubscriberEventsExactlyOnceInRegistrationOrder) {
     std::thread::id home_;
   };
 
-  auto world_s = ChainWorld();
-  auto world_p = ChainWorld();  // deterministic twin
-  std::vector<std::unique_ptr<DeclarativeOptimizer>> serial_opts, parallel_opts;
-  for (const OptimizerOptions& o : QueryConfigs()) {
-    serial_opts.push_back(std::make_unique<DeclarativeOptimizer>(
-        world_s->enumerator.get(), world_s->cost_model.get(), &world_s->registry, o));
-    serial_opts.back()->Optimize();
-    parallel_opts.push_back(std::make_unique<DeclarativeOptimizer>(
-        world_p->enumerator.get(), world_p->cost_model.get(), &world_p->registry, o));
-    parallel_opts.back()->Optimize();
-  }
-  ReoptSession serial_session(&world_s->registry);
-  ReoptSessionOptions po;
-  po.worker_threads = 4;
-  ReoptSession parallel_session(&world_p->registry, po);
-
-  std::vector<Recorded> serial_events, parallel_events;
-  const std::thread::id home = std::this_thread::get_id();
-  std::vector<std::unique_ptr<Recorder>> recorders;
-  std::vector<QueryHandle> serial_handles, parallel_handles;
-  for (size_t q = 0; q < serial_opts.size(); ++q) {
-    recorders.push_back(std::make_unique<Recorder>(&serial_events, home));
-    serial_handles.push_back(serial_session.Register(*serial_opts[q], recorders.back().get()));
-    recorders.push_back(std::make_unique<Recorder>(&parallel_events, home));
-    parallel_handles.push_back(
-        parallel_session.Register(*parallel_opts[q], recorders.back().get()));
-  }
-
-  int64_t total_events = 0;
-  for (int r = 0; r < 6; ++r) {
-    serial_events.clear();
-    parallel_events.clear();
-    ApplyChurnRound(world_s->registry, r);
-    ApplyChurnRound(world_p->registry, r);
-    serial_session.Flush();
-    parallel_session.Flush();
-
-    // Exactly-once: no query id repeats within one flush; registration
-    // order: ids are strictly increasing in the delivered sequence.
-    for (size_t i = 1; i < parallel_events.size(); ++i) {
-      EXPECT_GT(parallel_events[i].query_id, parallel_events[i - 1].query_id)
-          << "round " << r << ": duplicate or out-of-order event";
-    }
-    // Serial twin saw the identical stream, field for field.
-    ASSERT_EQ(parallel_events.size(), serial_events.size()) << "round " << r;
-    for (size_t i = 0; i < parallel_events.size(); ++i) {
-      EXPECT_EQ(parallel_events[i].query_id, serial_events[i].query_id);
-      EXPECT_EQ(parallel_events[i].flush_index, serial_events[i].flush_index);
-      EXPECT_EQ(parallel_events[i].old_cost, serial_events[i].old_cost);
-      EXPECT_EQ(parallel_events[i].new_cost, serial_events[i].new_cost);
-      EXPECT_EQ(parallel_events[i].diff.changed_operators,
-                serial_events[i].diff.changed_operators);
-      EXPECT_EQ(parallel_events[i].diff.join_order_prefix,
-                serial_events[i].diff.join_order_prefix);
-    }
-    total_events += static_cast<int64_t>(parallel_events.size());
-  }
-  EXPECT_GT(total_events, 0);  // the churn actually moved plans
-  EXPECT_EQ(parallel_session.metrics().plan_changes, total_events);
-  EXPECT_EQ(serial_session.metrics().plan_changes, total_events);
-}
-
-// A session owning a pool tears down cleanly right after heavy parallel
-// use — the pool drains and joins deterministically in the destructor.
-TEST(ParallelFlushTest, SessionTeardownAfterParallelFlushes) {
   auto world = ChainWorld();
   std::vector<std::unique_ptr<DeclarativeOptimizer>> opts;
   for (const OptimizerOptions& o : QueryConfigs()) {
@@ -376,21 +210,71 @@ TEST(ParallelFlushTest, SessionTeardownAfterParallelFlushes) {
         world->enumerator.get(), world->cost_model.get(), &world->registry, o));
     opts.back()->Optimize();
   }
-  {
-    ReoptSessionOptions so;
-    so.worker_threads = 4;
-    ReoptSession session(&world->registry, so);
-    std::vector<QueryHandle> handles;
-    for (auto& o : opts) handles.push_back(session.Register(*o));
-    ApplyChurnRound(world->registry, 1);
-    session.Flush();
-    // Handles release, then the destructor: unsubscribe + pool drain/join.
+  ReoptSession session(&world->registry);
+
+  std::vector<Recorded> events;
+  const std::thread::id home = std::this_thread::get_id();
+  std::vector<std::unique_ptr<Recorder>> recorders;
+  std::vector<QueryHandle> handles;
+  for (auto& o : opts) {
+    recorders.push_back(std::make_unique<Recorder>(&events, home));
+    handles.push_back(session.Register(*o, recorders.back().get()));
   }
-  // The world remains fully usable single-threaded afterwards.
-  world->registry.SetBaseRows(1, 12345);
-  opts[0]->Reoptimize();
-  opts[0]->ValidateInvariants();
-  EXPECT_EQ(opts[0]->CanonicalDumpState(), ScratchDump(*world, opts[0]->options()));
+
+  int64_t total_events = 0;
+  for (int r = 0; r < 6; ++r) {
+    std::vector<std::string> before;
+    for (auto& o : opts) before.push_back(o->CanonicalDumpState());
+    events.clear();
+    ApplyChurnRound(world->registry, r);
+    session.Flush();
+
+    // Exactly-once: no query id repeats within one flush; registration
+    // order: ids are strictly increasing in the delivered sequence.
+    for (size_t i = 1; i < events.size(); ++i) {
+      EXPECT_GT(events[i].query_id, events[i - 1].query_id)
+          << "round " << r << ": duplicate or out-of-order event";
+    }
+    // An event fired iff that query's canonical plan changed.
+    for (size_t q = 0; q < opts.size(); ++q) {
+      const bool changed = opts[q]->CanonicalDumpState() != before[q];
+      const bool fired =
+          std::any_of(events.begin(), events.end(), [&](const Recorded& e) {
+            return e.query_id == handles[q].id();
+          });
+      EXPECT_EQ(fired, changed) << "round " << r << " query " << q;
+    }
+    for (const Recorded& e : events) EXPECT_EQ(e.flush_index, session.metrics().flushes);
+    total_events += static_cast<int64_t>(events.size());
+  }
+  EXPECT_GT(total_events, 0);  // the churn actually moved plans
+  EXPECT_EQ(session.metrics().plan_changes, total_events);
+}
+
+// The session owns no threads: constructing one, registering queries and
+// running policy flushes and polls leaves the process's thread count where
+// it was.
+TEST(SessionConcurrencyTest, SessionStartsNoThreads) {
+  const std::filesystem::path tasks("/proc/self/task");
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no /proc/self/task";
+  auto count_threads = [&tasks] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const auto threads_before = count_threads();
+  auto world = ChainWorld();
+  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
+                           &world->registry);
+  opt.Optimize();
+  ReoptSessionOptions so;
+  so.flush_policy = std::make_shared<DeadlinePolicy>(std::chrono::milliseconds(0));
+  ReoptSession session(&world->registry, so);
+  QueryHandle handle = session.Register(opt);
+  ApplyChurnRound(world->registry, 1);
+  session.Poll();
+  EXPECT_EQ(count_threads(), threads_before);
+  EXPECT_GE(session.metrics().flushes, 1);
+  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
 
 }  // namespace

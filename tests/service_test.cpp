@@ -756,7 +756,22 @@ TEST(PlanSubscriberTest, ThrowingSubscriberDoesNotWedgeTheSession) {
   opt.Optimize();
   watched.Optimize();
   JsonMetricsExporter exporter;
-  auto policy = std::make_shared<CostGatedPolicy>(/*work_budget=*/1e12);
+  // Flushes on the first mutation only (later flushes are manual) and
+  // counts its reset calls.
+  class FirstMutationPolicy final : public FlushPolicy {
+   public:
+    bool ShouldFlush(const FlushPolicyContext& ctx) override {
+      (void)ctx;
+      return resets == 0;
+    }
+    void OnFlush(size_t pending_after) override {
+      (void)pending_after;
+      ++resets;
+    }
+    const char* name() const override { return "first_mutation"; }
+    int resets = 0;
+  };
+  auto policy = std::make_shared<FirstMutationPolicy>();
   ReoptSessionOptions so;
   so.metrics_exporter = &exporter;
   so.flush_policy = policy;
@@ -781,17 +796,17 @@ TEST(PlanSubscriberTest, ThrowingSubscriberDoesNotWedgeTheSession) {
   QueryHandle watched_handle = session.Register(watched, &recording);
   const double watched_cost0 = watched.BestCost();
 
-  // The policy (no history yet) flushes eagerly on the first mutation, so
-  // the subscriber's exception propagates out of the Set call itself.
+  // The policy flushes on the first mutation, so the subscriber's
+  // exception propagates out of the Set call itself.
   EXPECT_THROW(world->registry.SetBaseRows(0, world->registry.base_rows(0) * 1000),
                std::runtime_error);
   EXPECT_EQ(session.num_queries(), 1);  // the deferred release applied
   // The flush DID dispatch: the exporter got its report and the policy its
-  // history sample, despite the throwing subscriber (flush epilogue) —
-  // and the thrower's own event is counted as delivered (at-most-once).
+  // reset, despite the throwing subscriber (flush epilogue) — and the
+  // thrower's own event is counted as delivered (at-most-once).
   ASSERT_EQ(exporter.num_reports(), 1);
   EXPECT_EQ(exporter.reports()[0].plan_changes, 1);
-  EXPECT_GT(policy->work_per_change(), 0.0);
+  EXPECT_EQ(policy->resets, 1);
   // watched's event was dropped by the unwind — not delivered, not lost:
   EXPECT_TRUE(recording.events.empty());
 
@@ -1074,99 +1089,6 @@ TEST(FlushPolicyTest, DeadlineRearmsOnMutationsThatRacedTheFlush) {
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
 
-// CostGatedPolicy: with no flush history it flushes eagerly (calibration);
-// with history and a huge budget it batches; with a tiny budget the
-// estimate crosses immediately and every mutation flushes.
-TEST(FlushPolicyTest, CostGatedPolicyBatchesUnderItsWorkBudget) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
-                           &world->registry);
-  opt.Optimize();
-  auto policy = std::make_shared<CostGatedPolicy>(/*work_budget=*/1e12);
-  ReoptSessionOptions so;
-  so.flush_policy = policy;
-  ReoptSession session(&world->registry, so);
-  QueryHandle handle = session.Register(opt);
-
-  world->registry.SetBaseRows(0, 999);  // no history yet: eager calibration
-  EXPECT_EQ(session.metrics().flushes, 1);
-  EXPECT_GT(policy->work_per_change(), 0.0);
-
-  // History exists, budget is astronomical: mutations accumulate.
-  world->registry.SetBaseRows(1, 888);
-  world->registry.SetBaseRows(2, 777);
-  world->registry.SetScanCostMultiplier(0, 3.0);
-  EXPECT_EQ(session.metrics().flushes, 1);
-  EXPECT_TRUE(session.HasPending());
-  EXPECT_GT(session.Flush(), 0u);  // manual flush still drains
-  EXPECT_EQ(session.metrics().flushes, 2);
-
-  opt.ValidateInvariants();
-  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-}
-
-// A dispatched-but-zero-work flush (every registered query prefiltered
-// away) is floored to one work unit per change: it must neither wedge the
-// estimate at 0 (auto-flush would never fire again) nor keep the policy
-// in eager per-mutation mode forever. Real observations take over as soon
-// as a pass does actual work.
-TEST(FlushPolicyTest, CostGatedFloorsZeroWorkCalibration) {
-  CostGatedPolicy policy(/*work_budget=*/100);
-  FlushPolicyContext ctx;
-  ctx.mutations_since_flush = 1;
-  ctx.pending_stats = 1;
-  EXPECT_TRUE(policy.ShouldFlush(ctx));  // no history: eager
-
-  // A dispatched flush with no per-query observations (every pass
-  // prefiltered away): calibration ends, estimate floored at 1 work/change.
-  policy.OnFlush(FlushOptStats{}, /*changes=*/3, /*pending_after=*/0);
-  EXPECT_EQ(policy.work_per_change(), 1.0);  // floored, not 0, not skipped
-  EXPECT_FALSE(policy.ShouldFlush(ctx));     // 1 * 1 < 100: batches now
-  ctx.pending_stats = 200;
-  EXPECT_TRUE(policy.ShouldFlush(ctx));  // 200 * 1 >= 100: still bounded
-
-  // Real work arrives per query: first observation seeds that query's EWMA.
-  policy.OnQueryPassWork(/*query_id=*/7, /*fixpoint_work=*/60, /*changes=*/1);
-  policy.OnFlush(FlushOptStats{}, /*changes=*/1, /*pending_after=*/0);
-  EXPECT_EQ(policy.query_work_per_change(7), 60.0);
-  EXPECT_EQ(policy.work_per_change(), 60.0);  // sum over the one query
-  ctx.pending_stats = 1;
-  EXPECT_FALSE(policy.ShouldFlush(ctx));  // 1 * 60 < 100
-  ctx.pending_stats = 2;
-  EXPECT_TRUE(policy.ShouldFlush(ctx));  // 2 * 60 >= 100
-
-  // Second observation blends: 0.7 * 60 + 0.3 * 20 = 48.
-  policy.OnQueryPassWork(7, /*fixpoint_work=*/20, /*changes=*/1);
-  EXPECT_NEAR(policy.query_work_per_change(7), 48.0, 1e-9);
-
-  // A second query's work ADDS to the estimate (every registered query
-  // pays its own fixpoint per flush), and unregistration sheds it.
-  policy.OnQueryPassWork(/*query_id=*/9, /*fixpoint_work=*/12, /*changes=*/1);
-  EXPECT_NEAR(policy.work_per_change(), 60.0, 1e-9);  // 48 + 12
-  policy.OnQueryUnregistered(9);
-  EXPECT_NEAR(policy.work_per_change(), 48.0, 1e-9);
-  policy.OnQueryUnregistered(7);
-  EXPECT_EQ(policy.work_per_change(), 1.0);  // history kept; floor applies
-}
-
-TEST(FlushPolicyTest, CostGatedPolicyTinyBudgetFlushesPerMutation) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
-                           &world->registry);
-  opt.Optimize();
-  ReoptSessionOptions so;
-  so.flush_policy = std::make_shared<CostGatedPolicy>(/*work_budget=*/1e-6);
-  ReoptSession session(&world->registry, so);
-  QueryHandle handle = session.Register(opt);
-
-  world->registry.SetBaseRows(0, 999);  // calibration flush
-  world->registry.SetBaseRows(1, 888);  // estimate >= budget instantly
-  world->registry.SetBaseRows(2, 777);
-  EXPECT_EQ(session.metrics().flushes, 3);
-  opt.ValidateInvariants();
-  EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-}
-
 // ---------------------------------------------------------------------------
 // Metrics export
 // ---------------------------------------------------------------------------
@@ -1294,36 +1216,6 @@ TEST(QuarantineTest, FaultedQueryIsIsolatedAndPeersComplete) {
   // against that old baseline.
   ASSERT_EQ(sub_a.plan_events.size(), 1u);
   EXPECT_EQ(sub_a.plan_events[0].new_cost, a.BestCost());
-}
-
-TEST(QuarantineTest, PooledFlushIsolatesTheFaultedQueryToo) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer a(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  DeclarativeOptimizer b(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  a.Optimize();
-  b.Optimize();
-  ReoptSessionOptions so;
-  so.worker_threads = 2;
-  ReoptSession session(&world->registry, so);
-  QueryHandle ha = session.Register(a);
-  QueryHandle hb = session.Register(b);
-
-  FaultInjector::Instance().set_enabled(false);
-  FaultInjector::ArmSpec spec;
-  spec.site = "service.pass";  // pool: WHICH query faults is a race — either is valid
-  ScopedFaultArm arm(spec);
-
-  world->registry.SetBaseRows(1, world->registry.base_rows(1) * 64);
-  FaultedFlush(session);
-  EXPECT_EQ(session.num_quarantined(), 1);  // exactly one struck, one survived
-  const std::string scratch = ScratchDump(*world, OptimizerOptions::Default());
-  DeclarativeOptimizer& healthy = ha.state() == QueryState::kHealthy ? a : b;
-  EXPECT_EQ(healthy.CanonicalDumpState(), scratch);
-
-  FaultedFlush(session);  // rehab
-  EXPECT_EQ(session.num_quarantined(), 0);
-  EXPECT_EQ(a.CanonicalDumpState(), scratch);
-  EXPECT_EQ(b.CanonicalDumpState(), scratch);
 }
 
 TEST(QuarantineTest, WorkBudgetExceededQuarantinesWithTypedReason) {
@@ -1487,22 +1379,24 @@ TEST(OverloadTest, HardWatermarkRejectsNewStatsAndRegistrations) {
   EXPECT_EQ(b.CanonicalDumpState(), a.CanonicalDumpState());
 }
 
-TEST(TimerTest, TimerThreadDrivesDeadlinePolicyWithoutManualPolls) {
+// The session starts no threads: a deadline fires when the owner's event
+// loop calls Poll() — the idiom of the ShardedService shard loop.
+TEST(TimerTest, PollLoopDrivesDeadlinePolicy) {
   auto world = ChainWorld();
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
                            &world->registry);
   opt.Optimize();
   ReoptSessionOptions so;
   so.flush_policy = std::make_shared<DeadlinePolicy>(std::chrono::milliseconds(20));
-  so.poll_interval = std::chrono::milliseconds(5);
   ReoptSession session(&world->registry, so);
   QueryHandle handle = session.Register(opt);
 
   world->registry.SetBaseRows(1, 4321);
   EXPECT_EQ(session.metrics().flushes, 0);  // inside the deadline window
-  // No Poll() calls: the session-owned timer must age the deadline out.
+  // Only Poll() ages the deadline out; no mutation arrives to re-ask.
   const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (session.metrics().flushes == 0 && std::chrono::steady_clock::now() < give_up) {
+    session.Poll();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(session.metrics().flushes, 1);
@@ -1510,14 +1404,12 @@ TEST(TimerTest, TimerThreadDrivesDeadlinePolicyWithoutManualPolls) {
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
 
-TEST(TimerTest, TimerRetriesQuarantineBackoffWithoutManualPolls) {
+TEST(TimerTest, PollLoopRetriesQuarantineBackoff) {
   auto world = ChainWorld();
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
                            &world->registry);
   opt.Optimize();
-  ReoptSessionOptions so;
-  so.poll_interval = std::chrono::milliseconds(5);
-  ReoptSession session(&world->registry, so);
+  ReoptSession session(&world->registry);
   QueryHandle handle = session.Register(opt);
 
   {
@@ -1528,22 +1420,24 @@ TEST(TimerTest, TimerRetriesQuarantineBackoffWithoutManualPolls) {
     world->registry.SetBaseRows(1, 98765);
     FaultedFlush(session);
     ASSERT_EQ(handle.state(), QueryState::kQuarantined);
-    // Disarm before waiting: the timer's own flushes run outside any
-    // counting window anyway, but leave the injector clean for the wait.
+    // Disarm before polling: the polls' flushes run outside any counting
+    // window anyway, but leave the injector clean for the loop.
   }
-  // No Poll() calls: timer ticks age the backoff out and its flush rehabs.
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (session.num_quarantined() > 0 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // No Flush() calls and no policy: idle Poll() ticks age the backoff out
+  // and the flush a due backoff forces rehabs the query.
+  int polls = 0;
+  while (session.num_quarantined() > 0 && polls < 100) {
+    session.Poll();
+    ++polls;
   }
   EXPECT_EQ(handle.state(), QueryState::kHealthy);
   EXPECT_EQ(session.metrics().rehabilitations, 1);
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
 }
 
-/// FakeClock is single-threaded by design; the timer storm below advances
-/// time while the session's timer thread reads it, so this variant keeps
-/// the instant in an atomic.
+/// FakeClock is single-threaded by design; the poller storm below advances
+/// time while the poller thread reads it, so this variant keeps the
+/// instant in an atomic.
 class AtomicFakeClock final : public Clock {
  public:
   std::chrono::steady_clock::time_point Now() const override {
@@ -1559,14 +1453,14 @@ class AtomicFakeClock final : public Clock {
   std::atomic<int64_t> nanos_{0};
 };
 
-// Adversarial timer storm: a 1ms timer thread hammers Poll() while a
-// mutator pushes burst after burst through a 50ms DeadlinePolicy on a
-// hand-advanced clock. Per epoch the deadline must fire EXACTLY one flush:
-// no starvation (every epoch's flush arrives once its window expires — the
-// next epoch's mid-window assertion then proves the count never crept
-// further, i.e. no double-flush) and no spurious fire inside the window no
-// matter how many timer ticks land there.
-TEST(TimerTest, TimerStormFiresExactlyOneFlushPerDeadlineEpoch) {
+// Adversarial poller storm: a thread that only calls Poll() (every 1 ms)
+// races a main-thread mutator pushing burst after burst through a 50ms
+// DeadlinePolicy on a hand-advanced clock. Per epoch the deadline must fire
+// EXACTLY one flush: no starvation (every epoch's flush arrives once its
+// window expires — the next epoch's mid-window assertion then proves the
+// count never crept further, i.e. no double-flush) and no spurious fire
+// inside the window no matter how many polls land there.
+TEST(TimerTest, PollerStormFiresExactlyOneFlushPerDeadlineEpoch) {
   auto world = ChainWorld(6, 23);
   DeclarativeOptimizer opt(world->enumerator.get(), world->cost_model.get(),
                            &world->registry);
@@ -1574,69 +1468,66 @@ TEST(TimerTest, TimerStormFiresExactlyOneFlushPerDeadlineEpoch) {
   AtomicFakeClock clock;
   ReoptSessionOptions so;
   so.flush_policy = std::make_shared<DeadlinePolicy>(std::chrono::milliseconds(50), &clock);
-  so.poll_interval = std::chrono::milliseconds(1);
   ReoptSession session(&world->registry, so);
   QueryHandle handle = session.Register(opt);
+
+  // Flushes the poller ran, counted after each returns: the main thread
+  // reads this instead of metrics(), which only the flushing thread may
+  // read while flushes can be in flight.
+  std::atomic<int> polled_flushes{0};
+  // Stops and joins the poller on every exit path, failed ASSERTs included,
+  // before the session it polls is destroyed.
+  struct Poller {
+    std::atomic<bool> stop{false};
+    std::thread thread;
+    void Join() {
+      stop.store(true);
+      if (thread.joinable()) thread.join();
+    }
+    ~Poller() { Join(); }
+  } poller;
+  poller.thread = std::thread([&] {
+    while (!poller.stop.load()) {
+      if (session.Poll() > 0) polled_flushes.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
 
   const double rows0 = world->registry.base_rows(0);
   const int kEpochs = 25;
   for (int e = 0; e < kEpochs; ++e) {
-    // Burst: three mutations land inside the window; thousands of timer
-    // polls see an unexpired deadline and must do nothing.
+    // Burst: three mutations land inside the window; every poll in it sees
+    // an unexpired deadline and must do nothing.
     world->registry.SetBaseRows(0, rows0 * (2.0 + e));
     world->registry.SetScanCostMultiplier(1 + (e % 4), 1.0 + 0.25 * (e + 1));
     world->registry.SetLocalSelectivity(5, e % 2 == 0 ? 0.4 : 0.7);
     clock.Advance(std::chrono::milliseconds(10));  // mid-window
-    ASSERT_EQ(session.metrics().flushes, e) << "fired inside the window, epoch " << e;
-    // Age the window out — advancing INSIDE the wait loop: the flushes
-    // counter ticks mid-flush, so this epoch's mutations can race the
-    // previous flush's epilogue, whose pending_after probe re-arms the
-    // deadline at the clock's current instant. A single up-front advance
-    // could land before that re-arm and starve the epoch forever (the
-    // fake clock would never move again); repeated advances age any
-    // re-armed window out within two iterations.
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));  // polls land here
+    ASSERT_EQ(polled_flushes.load(), e) << "fired inside the window, epoch " << e;
+    // Age the window out — advancing INSIDE the wait loop, so a window
+    // that re-armed late (a mutation racing a flush epilogue re-arms the
+    // deadline at the clock's current instant) still ages out within two
+    // iterations instead of starving on a clock that never moves again.
     const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (session.metrics().flushes == e && std::chrono::steady_clock::now() < give_up) {
+    while (polled_flushes.load() == e && std::chrono::steady_clock::now() < give_up) {
       clock.Advance(std::chrono::milliseconds(30));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    ASSERT_EQ(session.metrics().flushes, e + 1) << "flush starved at epoch " << e;
+    ASSERT_EQ(polled_flushes.load(), e + 1) << "flush starved at epoch " << e;
     EXPECT_FALSE(session.HasPending());
   }
   // The last flush disarmed the policy: with nothing pending, an hour of
-  // fake time and dozens more real timer ticks fire nothing.
+  // fake time and dozens more real polls fire nothing.
   clock.Advance(std::chrono::hours(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  poller.Join();
+  EXPECT_EQ(polled_flushes.load(), kEpochs);
+  // Every flush ran on the poller and carried changes: none fired inline
+  // on the mutator, none was empty.
   EXPECT_EQ(session.metrics().flushes, kEpochs);
-  EXPECT_EQ(session.metrics().empty_flushes, 0);  // every flush carried changes
+  EXPECT_EQ(session.metrics().empty_flushes, 0);
   opt.ValidateInvariants();
   EXPECT_EQ(opt.CanonicalDumpState(), ScratchDump(*world, OptimizerOptions::Default()));
-}
-
-TEST(FlushPolicyTest, CostGatedLearnsPerQueryEwmasThroughTheSession) {
-  auto world = ChainWorld();
-  DeclarativeOptimizer a(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  DeclarativeOptimizer b(world->enumerator.get(), world->cost_model.get(), &world->registry);
-  a.Optimize();
-  b.Optimize();
-  ReoptSessionOptions so;
-  auto policy = std::make_shared<CostGatedPolicy>(/*work_budget=*/1e9);  // never auto-fires
-  so.flush_policy = policy;
-  ReoptSession session(&world->registry, so);
-  QueryHandle ha = session.Register(a);  // query id 0
-  {
-    QueryHandle hb = session.Register(b);  // query id 1
-
-    world->registry.SetBaseRows(1, world->registry.base_rows(1) * 64);
-    session.Flush();  // calibration flush observes BOTH queries' pass work
-    EXPECT_GT(policy->query_work_per_change(0), 0.0);
-    EXPECT_GT(policy->query_work_per_change(1), 0.0);
-    EXPECT_NEAR(policy->work_per_change(),
-                policy->query_work_per_change(0) + policy->query_work_per_change(1), 1e-9);
-  }  // hb released: its EWMA must leave the estimate with it
-  EXPECT_EQ(policy->query_work_per_change(1), 0.0);
-  EXPECT_NEAR(policy->work_per_change(),
-              std::max(1.0, policy->query_work_per_change(0)), 1e-9);
 }
 
 // ---------------------------------------------------------------------------
