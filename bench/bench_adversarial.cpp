@@ -91,7 +91,6 @@ JsonObj StatsJson(const ClassRunStats& s) {
       .Put("evictions", s.evictions)
       .Put("rehydrations", s.rehydrations)
       .Put("eps_seeded", s.eps_seeded)
-      .Put("eps_scanned", s.eps_scanned)
       .Put("summary_hits", s.summary_hits)
       .Put("summary_misses", s.summary_misses)
       .Put("max_resident_bytes", s.max_resident_bytes);

@@ -262,50 +262,6 @@ void Run() {
   exporter.WriteBenchReport("bench_batch_churn_flushes");
   if (g_text_mode) exporter.WriteTextReport("bench_batch_churn_flushes");
 
-  // ---- sparse-scope axis: seeding cost vs memo size -----------------------
-  // Each round mutates ONE scan-cost multiplier (singleton scope) and
-  // flushes a 4-query session. The scope index turns seeding into an
-  // exact-key probe, so eps_scanned — candidates the seeder examined —
-  // should track the handful of leaf EPs actually affected, decoupled from
-  // the thousands of enumerated EPs across the registered memos. The ratio
-  // eps_scanned / eps_seeded lands in the JSON; CI asserts it stays <= 2.
-  int64_t sparse_eps_scanned = 0, sparse_eps_seeded = 0, sparse_memo_eps = 0;
-  constexpr int kSparseRounds = 2 * kRounds;
-  {
-    auto ctx = MakeContext(*fixture, "Q5");
-    std::vector<std::unique_ptr<DeclarativeOptimizer>> qopts;
-    for (const OptimizerOptions& o : configs) {
-      qopts.push_back(std::make_unique<DeclarativeOptimizer>(
-          ctx->enumerator.get(), ctx->cost_model.get(), &ctx->registry, o));
-      qopts.back()->Optimize();
-      sparse_memo_eps += qopts.back()->metrics().eps_enumerated;
-    }
-    ReoptSession session(&ctx->registry);
-    std::vector<QueryHandle> handles;
-    for (auto& q : qopts) handles.push_back(session.Register(*q));
-    constexpr int kTargets[] = {kOrders, kLineitem, kSupplier, kCustomer};
-    for (int r = 0; r < kSparseRounds; ++r) {
-      ctx->registry.SetScanCostMultiplier(kTargets[r % 4], (r % 2) == 0 ? 3.0 : 1.0);
-      if (session.Flush() > 0) {
-        sparse_eps_scanned += session.last_flush().eps_scanned;
-        sparse_eps_seeded += session.last_flush().eps_seeded;
-      }
-    }
-    for (auto& q : qopts) q->ValidateInvariants();
-  }
-  const double sparse_scan_ratio =
-      sparse_eps_seeded > 0
-          ? static_cast<double>(sparse_eps_scanned) / static_cast<double>(sparse_eps_seeded)
-          : 0.0;
-
-  TablePrinter sparse_table(
-      "Sparse-scope seeding: singleton change per flush, 4-query session",
-      {"rounds", "memo EPs (4 queries)", "eps_scanned", "eps_seeded", "scanned/seeded"});
-  sparse_table.AddRow({std::to_string(kSparseRounds), std::to_string(sparse_memo_eps),
-                       std::to_string(sparse_eps_scanned), std::to_string(sparse_eps_seeded),
-                       Num(sparse_scan_ratio, 2)});
-  sparse_table.Print();
-
   TablePrinter multi_table(
       "Multi-query session: 4 configs, one registry, one flush per round",
       {"mode", "total_ms", "reopt passes"});
@@ -334,16 +290,11 @@ void Run() {
       .Put("multiq_sequential_ms", multi_seq_ms)
       .Put("multiq_batched_ms", multi_batch_ms)
       .Put("multiq_speedup", multi_speedup)
-      .Put("sparse_rounds", kSparseRounds)
-      .Put("sparse_memo_eps", sparse_memo_eps)
-      .Put("sparse_eps_scanned", sparse_eps_scanned)
-      .Put("sparse_eps_seeded", sparse_eps_seeded)
-      .Put("sparse_scan_ratio", sparse_scan_ratio)
       .Put("flush_reports_exported", exporter.num_reports())
       .Put("plan_changes_observed", exported_plan_changes)
       .Put("coalesce", coalesce_json);
   JsonObj root = BenchRoot("bench_batch_churn", metrics,
-                           {&mode_table, &coalesce_table, &sparse_table, &multi_table});
+                           {&mode_table, &coalesce_table, &multi_table});
   WriteBenchJson("bench_batch_churn", root);
 
   std::printf(

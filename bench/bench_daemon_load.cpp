@@ -6,9 +6,10 @@
 // RecordStatBatch + Flush per world with statistics swings violent enough
 // to flip join orders, so every flush produces event frames.
 //
-// Measured: registration and churn wall time, sustained mutations/s over
-// the socket, events delivered, and the flush-to-event latency
-// distribution (p50/p95/p99). Latency is client-observed: the send
+// Measured: registration and churn wall time, sustained flushes/s over
+// the socket (mutations/s counts the mutations those flushes carried, a
+// fixed multiple of flushes/s), events delivered, and the flush-to-event
+// latency distribution (p50/p95/p99). Latency is client-observed: the send
 // timestamp of a Flush request to the local arrival timestamp of each
 // event frame that flush produced — events are queued into the connection
 // outbox before the flush response, so one socket read carries both.
@@ -184,6 +185,7 @@ int Run(const LoadConfig& cfg) {
     churn_s = std::max(churn_s, r.churn_s);
   }
   const double mutations_per_sec = churn_s > 0 ? total.mutations / churn_s : 0;
+  const double flushes_per_sec = churn_s > 0 ? total.flushes / churn_s : 0;
   const double p50 = Percentile(total.latencies_ms, 0.50);
   const double p95 = Percentile(total.latencies_ms, 0.95);
   const double p99 = Percentile(total.latencies_ms, 0.99);
@@ -195,6 +197,7 @@ int Run(const LoadConfig& cfg) {
   table.AddRow({"register wall s", Num(register_s)});
   table.AddRow({"mutations/s", Num(mutations_per_sec)});
   table.AddRow({"flushes", std::to_string(total.flushes)});
+  table.AddRow({"flushes/s", Num(flushes_per_sec)});
   table.AddRow({"events delivered", std::to_string(total.events)});
   table.AddRow({"flush->event p50 ms", Num(p50, 3)});
   table.AddRow({"flush->event p95 ms", Num(p95, 3)});
@@ -212,6 +215,7 @@ int Run(const LoadConfig& cfg) {
       .Put("mutations_total", total.mutations)
       .Put("mutations_per_sec", mutations_per_sec)
       .Put("flushes_total", total.flushes)
+      .Put("flushes_per_sec", flushes_per_sec)
       .Put("events_delivered", total.events)
       .Put("p50_flush_to_event_ms", p50)
       .Put("p95_flush_to_event_ms", p95)

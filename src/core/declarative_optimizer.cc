@@ -53,7 +53,6 @@ DeclarativeOptimizer::EPState* DeclarativeOptimizer::GetOrCreateEP(RelSet expr, 
   ep->last_bound = kInf;
   *slot = ep;
   eps_in_order_.push_back(ep);
-  scope_index_.Insert(expr, ep);
   reopt_order_stale_ = true;
   ++memo_growth_gen_;
   return ep;
@@ -233,8 +232,6 @@ void DeclarativeOptimizer::TearDown() {
   memo_.Clear();
   queue_.clear();
   arena_.Reset();
-  scope_index_.Clear();
-  seed_scratch_.clear();
   reopt_order_.clear();
   reopt_order_stale_ = false;
   per_ep_walk_key_ = -1;
@@ -287,99 +284,50 @@ int64_t DeclarativeOptimizer::ReoptimizeBatchImpl(const std::vector<StatChange>&
     return 0;
   }
 
-  // Collect the affected set through the scope index instead of walking the
-  // memo: a cardinality change affects every EP whose expression contains
-  // its scope (a superset posting-list query); a scan-cost change's scope is
-  // the base relation's singleton and only that expression's own property
-  // groups recompute (an exact-key lookup). An EP matched by several changes
-  // of one batch is considered once (seed_mark round stamp). The candidate
-  // counts the traversals examined are surfaced as eps_scanned — the
-  // seeding-efficiency counter benches assert against eps_seeded.
+  // Seed every enumerated pair the batch affects. A cardinality change
+  // affects every EP whose expression contains its scope; a scan-cost
+  // change's scope is the base relation's singleton, and only that
+  // expression's own property groups recompute. One presorted pass over the
+  // memo finds them: a union-mask test rejects pairs no change can touch,
+  // and the per-change test decides the rest, so an EP matched by several
+  // changes is seeded once. The pass is O(memo), but on the benchmark
+  // workloads seeding is a few percent of a pass (the rest is Drain()).
   // Seed deltas bottom-up: children settle before parents, and the
   // (expr, none) entry of an expression precedes its (expr, sorted(..))
   // variants, whose sort enforcers reference it. Every ancestor of an
   // affected pair is itself affected (its expression is a superset), so a
   // single ascending pass evicts collected state before the live state
-  // referencing it is re-driven. Both seeding paths below visit the
-  // affected set in the same (|expr|, prop != none, insertion id) total
-  // order — the legacy full-memo stable sort restricted to the affected set
-  // — so fault-point ordinals and differential traces are path-independent.
+  // referencing it is re-driven. reopt_order_ holds the memo in that
+  // (|expr|, prop != none, insertion id) total order, rebuilt lazily on
+  // memo growth so a pass pays no per-flush sort; the order also fixes
+  // fault-point ordinals and differential traces.
+  if (reopt_order_stale_) {
+    reopt_order_ = eps_in_order_;
+    std::sort(reopt_order_.begin(), reopt_order_.end(), SeedOrderLess);
+    reopt_order_stale_ = false;
+  }
+  RelSet union_mask = 0;
+  for (const StatChange& c : changes) union_mask |= c.scope;
   int64_t seeded = 0;
-  auto seed_one = [&](EPState* ep) {
+  for (EPState* ep : reopt_order_) {
+    if ((ep->expr & union_mask) == 0 || !ep->enumerated) continue;
+    bool affected = false;
+    for (const StatChange& c : changes) {
+      affected = c.kind == StatChange::Kind::kCardinality ? RelIsSubset(c.scope, ep->expr)
+                                                          : ep->expr == c.scope;
+      if (affected) break;
+    }
+    if (!affected) continue;
     ++seeded;
     IQRO_FAULT_POINT("reopt.seed");
     if (!Live(*ep)) {
       // Garbage-collected state that the update would invalidate: evict it
       // now (§3.2 + §4 — pruned state is re-derived only if re-referenced).
       Evict(ep);
-      return;
+      continue;
     }
     for (uint32_t i = 0; i < ep->alts.size(); ++i) ScheduleDrive(ep, i);
-  };
-
-  // Bound the total scan volume before traversing: a batch of dense scopes
-  // (several cardinality changes each touching half the memo) would re-walk
-  // overlapping posting lists once per change — strictly worse than the one
-  // full pass the index replaced. The index path only wins when its scans
-  // are substantially smaller than the memo: each candidate it examines
-  // costs a posting-entry load, a subset test, a mark probe and a scratch
-  // push, and the affected set pays an O(k log k) sort the presorted
-  // reopt_order_ walk never does. Empirically the crossover sits around a
-  // quarter of the memo (a 1–2-relation cardinality scope on a single query
-  // already examines ~half the index — cheaper as one full presorted pass),
-  // so take the index path only when the estimated volume stays under
-  // size/4. Genuinely sparse batches — scan-cost changes (exact key) and
-  // narrow-impact feedback in a many-query session — stay O(affected).
-  const int64_t sparse_limit = static_cast<int64_t>(scope_index_.size() / 4);
-  int64_t estimated = 0;
-  for (const StatChange& c : changes) {
-    estimated += c.kind == StatChange::Kind::kCardinality
-                     ? scope_index_.SupersetScanCost(c.scope)
-                     : scope_index_.ExactScanCost(c.scope);
-    if (estimated >= sparse_limit) break;
   }
-  int64_t scanned = 0;
-  if (estimated < sparse_limit) {
-    seed_scratch_.clear();
-    auto consider = [&](EPState* ep) {
-      if (ep->seed_mark == round_) return;  // matched by an earlier change
-      ep->seed_mark = round_;
-      if (ep->enumerated) seed_scratch_.push_back(ep);
-    };
-    for (const StatChange& c : changes) {
-      if (c.kind == StatChange::Kind::kCardinality) {
-        scanned += scope_index_.ForEachSupersetOf(c.scope, consider);
-      } else {  // kScanCost: only the relation's own leaf alternatives move
-        scanned += scope_index_.ForEachWithKey(c.scope, consider);
-      }
-    }
-    std::sort(seed_scratch_.begin(), seed_scratch_.end(), SeedOrderLess);
-    for (EPState* ep : seed_scratch_) seed_one(ep);
-    seed_scratch_.clear();
-  } else {
-    if (reopt_order_stale_) {
-      reopt_order_ = eps_in_order_;
-      std::sort(reopt_order_.begin(), reopt_order_.end(), SeedOrderLess);
-      reopt_order_stale_ = false;
-    }
-    RelSet union_mask = 0;
-    for (const StatChange& c : changes) union_mask |= c.scope;
-    for (EPState* ep : reopt_order_) {
-      if ((ep->expr & union_mask) == 0 || !ep->enumerated) continue;
-      for (const StatChange& c : changes) {
-        const bool affected = c.kind == StatChange::Kind::kCardinality
-                                  ? RelIsSubset(c.scope, ep->expr)
-                                  : ep->expr == c.scope;
-        if (affected) {
-          seed_one(ep);
-          break;
-        }
-      }
-    }
-    scanned = static_cast<int64_t>(eps_in_order_.size());
-  }
-  metrics_.eps_scanned += scanned;
-  metrics_.round_eps_scanned += scanned;
   Drain();
   work_budget_ = 0;
   UpdatePeakMemoBytes();  // O(1) unless this round enumerated new state
@@ -781,8 +729,7 @@ size_t DeclarativeOptimizer::PerEpBytes() const {
 
 size_t DeclarativeOptimizer::StructuralBytes() const {
   return arena_.bytes_reserved() + memo_.capacity_bytes() +
-         eps_in_order_.capacity() * sizeof(EPState*) + scope_index_.bytes() +
-         seed_scratch_.capacity() * sizeof(EPState*) +
+         eps_in_order_.capacity() * sizeof(EPState*) +
          reopt_order_.capacity() * sizeof(EPState*) + queue_.capacity_bytes();
 }
 
@@ -1122,8 +1069,8 @@ void DeclarativeOptimizer::RestoreState(const std::string& payload, uint64_t sta
     }
     const uint64_t count = r.GetU64();
 
-    // Pass 1: recreate every pair in insertion order — ids, the memo table,
-    // the scope index and eps_in_order_ all land exactly as serialized.
+    // Pass 1: recreate every pair in insertion order — ids, the memo table
+    // and eps_in_order_ all land exactly as serialized.
     for (uint64_t i = 0; i < count; ++i) {
       const RelSet expr = r.GetU32();
       const Prop prop = GetProp(r);

@@ -68,8 +68,8 @@
 
 #include "common/arena.h"
 #include "common/flat_map.h"
+#include "common/relset.h"
 #include "common/ring_buffer.h"
-#include "common/scope_index.h"
 #include "core/metrics.h"
 #include "core/optimizer_options.h"
 #include "core/plan_digest.h"
@@ -349,9 +349,6 @@ class DeclarativeOptimizer {
     bool bound_dirty = false;
     bool enumerate_queued = false;
     uint32_t touched_round = 0;
-    /// Round stamp for seeding dedup: an EP matched by several changes of
-    /// one batch is seeded once (see ReoptimizeBatchImpl).
-    uint32_t seed_mark = 0;
 
     bool live(bool use_ref_counting) const {
       return use_ref_counting ? refcount > 0 : ever_live;
@@ -446,8 +443,8 @@ class DeclarativeOptimizer {
   /// it against the peak independently cross-check agg_entries_).
   size_t PerEpVectorBytes() const;
   size_t PerEpBytes() const;
-  /// O(1)-ish footprint terms: arena blocks, flat table, order vector,
-  /// scope index, seed scratch, queue.
+  /// O(1)-ish footprint terms: arena blocks, flat table, order vectors,
+  /// queue.
   size_t StructuralBytes() const;
   void UpdatePeakMemoBytes();
 
@@ -467,20 +464,9 @@ class DeclarativeOptimizer {
   uint64_t stats_epoch_ = 0;  // registry epoch the current state reflects
   int64_t work_budget_ = 0;   // per-call cap on round_steps; 0 = unbudgeted
 
-  // Seeding index: every memo pair keyed by its expression, so a batch of
-  // StatChanges enumerates exactly the candidate EPs (supersets of a
-  // cardinality scope; exact matches of a scan-cost scope) instead of
-  // walking the whole memo. Maintained incrementally in GetOrCreateEP;
-  // dormant pairs stay indexed because stale collected state is physically
-  // evicted by the seeding pass that invalidates it.
-  ScopeSubsetIndex<EPState*> scope_index_;
-  // Scratch for the affected set of one batch (avoids a heap vector per
-  // flush); sorted into the legacy bottom-up seeding order before seeding.
-  std::vector<EPState*> seed_scratch_;
-  // Dense-batch fallback order: all pairs presorted by (|expr|, prop !=
-  // none, id) — the bottom-up seeding order — rebuilt lazily on memo
-  // growth, so a full-scan seeding pass pays no per-flush sort. The sparse
-  // path sorts its (small) affected set instead and never touches this.
+  // Seeding order: all pairs presorted by (|expr|, prop != none, id) — the
+  // bottom-up seeding order — rebuilt lazily on memo growth, so a seeding
+  // pass pays no per-flush sort.
   std::vector<EPState*> reopt_order_;
   bool reopt_order_stale_ = false;
   // Peak-bytes accounting, O(1) per round. The per-EP footprint has two

@@ -28,20 +28,16 @@ struct OptMetrics {
   int64_t tasks_enqueued = 0;      // worklist pushes that made it past dedup
   int64_t tasks_deduped = 0;       // enqueues suppressed by the queued bits
   int64_t peak_memo_bytes = 0;     // high-water estimate of memo residency
-  int64_t eps_scanned = 0;         // seeding candidates examined by the scope
-                                   // index (vs eps seeded: scan efficiency)
 
   // Counters for the current (re)optimization round; reset via BeginRound().
   int64_t round_touched_eps = 0;   // plan-table entries receiving any delta
   int64_t round_touched_alts = 0;  // alternatives recomputed/suppressed/re-added
   int64_t round_steps = 0;
-  int64_t round_eps_scanned = 0;
 
   void BeginRound() {
     round_touched_eps = 0;
     round_touched_alts = 0;
     round_steps = 0;
-    round_eps_scanned = 0;
   }
 };
 

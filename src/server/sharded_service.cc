@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "core/declarative_optimizer.h"
@@ -12,7 +13,7 @@
 #include "service/reopt_session.h"
 #include "service/snapshot.h"
 #include "stats/summary.h"
-#include "testing/differential.h"
+#include "testing/scenario.h"
 
 namespace iqro::server {
 
@@ -42,12 +43,31 @@ void ValidateSpecs(const testing::CatalogSpec& catalog, const QuerySpec& query) 
   if (!catalog.use_tpch && catalog.tables.empty()) {
     throw ServiceError(WireErrorCode::kBadRequest, "synthetic catalog has no tables");
   }
+  for (const testing::SyntheticTableSpec& t : catalog.tables) {
+    if (t.clustered_on >= static_cast<int>(t.cols.size())) {
+      throw ServiceError(WireErrorCode::kBadRequest,
+                         "table " + t.name + " is clustered on column " +
+                             std::to_string(t.clustered_on) + " of " +
+                             std::to_string(t.cols.size()));
+    }
+    for (const testing::SyntheticColumnSpec& c : t.cols) {
+      // The histogram sampler draws from [min, max]: the span must be a
+      // non-negative int64 (unsigned difference is exact once min <= max).
+      if (c.min > c.max || static_cast<uint64_t>(c.max) - static_cast<uint64_t>(c.min) >
+                               static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+        throw ServiceError(WireErrorCode::kBadRequest,
+                           "table " + t.name + " has a column range [" + std::to_string(c.min) +
+                               ", " + std::to_string(c.max) + "] that is empty or too wide");
+      }
+    }
+  }
+  const int ntables = catalog.use_tpch ? testing::SharedTpchFixture().catalog.num_tables()
+                                       : static_cast<int>(catalog.tables.size());
   for (const QueryRelation& rel : query.relations) {
-    if (!catalog.use_tpch &&
-        (rel.table < 0 || rel.table >= static_cast<int>(catalog.tables.size()))) {
+    if (rel.table < 0 || rel.table >= ntables) {
       throw ServiceError(WireErrorCode::kBadRequest,
                          "relation references table " + std::to_string(rel.table) + " of " +
-                             std::to_string(catalog.tables.size()));
+                             std::to_string(ntables));
     }
   }
   auto check_rel = [nrel](int rel, const char* what) {
@@ -56,11 +76,45 @@ void ValidateSpecs(const testing::CatalogSpec& catalog, const QuerySpec& query) 
                          std::string(what) + " references relation " + std::to_string(rel));
     }
   };
+  // Column indices past a table's width fall back to default estimates;
+  // negative ones would index before the column array.
+  auto check_col = [](int col, const char* what) {
+    if (col < 0) {
+      throw ServiceError(WireErrorCode::kBadRequest,
+                         std::string(what) + " references column " + std::to_string(col));
+    }
+  };
   for (const JoinPredicate& j : query.joins) {
     check_rel(j.left_rel, "join");
     check_rel(j.right_rel, "join");
+    check_col(j.left_col, "join");
+    check_col(j.right_col, "join");
+    if (j.left_rel == j.right_rel) {
+      throw ServiceError(WireErrorCode::kBadRequest,
+                         "join joins relation " + std::to_string(j.left_rel) + " to itself");
+    }
   }
-  for (const LocalPredicate& l : query.locals) check_rel(l.rel, "local predicate");
+  // The enumerator plans no cross products: every relation must be
+  // reachable from relation 0 over the join edges, or the root has no plan.
+  const RelSet all = (RelSet{1} << nrel) - 1;
+  RelSet reached = RelSingleton(0);
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const JoinPredicate& j : query.joins) {
+      const RelSet e = j.Endpoints();
+      if ((e & reached) != 0 && (e & ~reached) != 0) {
+        reached |= e;
+        grew = true;
+      }
+    }
+  }
+  if (reached != all) {
+    throw ServiceError(WireErrorCode::kBadRequest, "join graph is not connected");
+  }
+  for (const LocalPredicate& l : query.locals) {
+    check_rel(l.rel, "local predicate");
+    check_col(l.col, "local predicate");
+  }
   for (const ColRef& c : query.projections) check_rel(c.rel, "projection");
   for (const ColRef& c : query.group_by) check_rel(c.rel, "group-by");
 }

@@ -51,7 +51,6 @@ bench::JsonObj ReportJson(const FlushReport& r) {
   bench::JsonObj opt;
   opt.Put("passes", r.opt.passes)
       .Put("eps_seeded", r.opt.eps_seeded)
-      .Put("eps_scanned", r.opt.eps_scanned)
       .Put("fixpoint_steps", r.opt.fixpoint_steps)
       .Put("touched_eps", r.opt.touched_eps)
       .Put("touched_alts", r.opt.touched_alts)

@@ -222,7 +222,6 @@ ReoptSession::PassResult ReoptSession::RunPass(DeclarativeOptimizer* optimizer,
   }
   r.eps_seeded = optimizer->ReoptimizeBatch(changes, epoch, work_budget);
   const OptMetrics& m = optimizer->metrics();
-  r.eps_scanned = m.round_eps_scanned;
   r.fixpoint_steps = m.round_steps;
   r.touched_eps = m.round_touched_eps;
   r.touched_alts = m.round_touched_alts;
@@ -243,7 +242,6 @@ void ReoptSession::AggregatePass(const PassResult& r) {
   ++metrics_.reopt_passes;
   ++last_flush_.passes;
   last_flush_.eps_seeded += r.eps_seeded;
-  last_flush_.eps_scanned += r.eps_scanned;
   last_flush_.fixpoint_steps += r.fixpoint_steps;
   last_flush_.touched_eps += r.touched_eps;
   last_flush_.touched_alts += r.touched_alts;

@@ -453,7 +453,6 @@ class ReoptSession final : public StatsSubscriber {
     bool dispatched = false;
     bool affected = false;
     int64_t eps_seeded = 0;
-    int64_t eps_scanned = 0;
     int64_t fixpoint_steps = 0;
     int64_t touched_eps = 0;
     int64_t touched_alts = 0;

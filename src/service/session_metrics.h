@@ -40,7 +40,6 @@ struct ReoptSessionMetrics {
 struct FlushOptStats {
   int64_t passes = 0;          // ReoptimizeBatch fixpoints this flush
   int64_t eps_seeded = 0;      // memo entries seeded
-  int64_t eps_scanned = 0;     // seeding candidates the scope index examined
   int64_t fixpoint_steps = 0;  // sum of per-optimizer round_steps
   int64_t touched_eps = 0;     // sum of per-optimizer round_touched_eps
   int64_t touched_alts = 0;    // sum of per-optimizer round_touched_alts

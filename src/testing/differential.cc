@@ -215,24 +215,6 @@ double RecomputeTreeCost(const PlanTree& t, const CostModel& model) {
   return total;
 }
 
-const std::vector<std::pair<std::string, OptimizerOptions>>& ScenarioOptionSets() {
-  static const auto* sets = [] {
-    auto* s = new std::vector<std::pair<std::string, OptimizerOptions>>{
-        {"all", OptimizerOptions::Default()},
-        {"aggsel", OptimizerOptions::UseAggSel()},
-        {"aggsel+refcount", OptimizerOptions::UseAggSelRefCount()},
-        {"aggsel+bounding", OptimizerOptions::UseAggSelBounding()},
-        {"evita", OptimizerOptions::UseEvitaRaced()},
-        {"nopruning", OptimizerOptions::UseNoPruning()},
-    };
-    OptimizerOptions fifo = OptimizerOptions::Default();
-    fifo.discipline = QueueDiscipline::kFifo;
-    s->emplace_back("all-fifo", fifo);
-    return s;
-  }();
-  return *sets;
-}
-
 Scenario GenerateScenario(uint64_t seed, const GeneratorKnobs& knobs) {
   Scenario sc;
   sc.seed = seed;
@@ -286,10 +268,7 @@ DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options,
   // fault-rotation recovery runs several per boundary).
   const auto count_flush = [&result](ReoptSession& s) {
     const size_t n = s.Flush();
-    if (n > 0) {
-      result.eps_seeded += s.last_flush().eps_seeded;
-      result.eps_scanned += s.last_flush().eps_scanned;
-    }
+    if (n > 0) result.eps_seeded += s.last_flush().eps_seeded;
     return n;
   };
 

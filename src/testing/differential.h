@@ -37,10 +37,6 @@ struct GeneratorKnobs {
 /// optimizer options, churn). Same seed + same knobs -> identical scenario.
 Scenario GenerateScenario(uint64_t seed, const GeneratorKnobs& knobs = {});
 
-/// The optimizer configurations a scenario may draw (mirrors the paper's
-/// evaluated pruning levels plus the FIFO discipline).
-const std::vector<std::pair<std::string, OptimizerOptions>>& ScenarioOptionSets();
-
 struct DiffOptions {
   /// Run ValidateInvariants at every fixpoint. Disabled for fault-injection
   /// runs: an intentionally under-seeded optimizer holds stale-but-
@@ -122,7 +118,6 @@ struct DiffResult {
   int64_t plan_flips = 0;
   int64_t plan_changes = 0;
   int64_t eps_seeded = 0;
-  int64_t eps_scanned = 0;
 };
 
 DiffResult RunScenario(const Scenario& scenario, const DiffOptions& options = {},

@@ -80,6 +80,24 @@ void BindScenarioStats(const Scenario& scenario, StatsRegistry* registry) {
   BindStats(scenario.query, stats, registry);
 }
 
+const std::vector<std::pair<std::string, OptimizerOptions>>& ScenarioOptionSets() {
+  static const auto* sets = [] {
+    auto* s = new std::vector<std::pair<std::string, OptimizerOptions>>{
+        {"all", OptimizerOptions::Default()},
+        {"aggsel", OptimizerOptions::UseAggSel()},
+        {"aggsel+refcount", OptimizerOptions::UseAggSelRefCount()},
+        {"aggsel+bounding", OptimizerOptions::UseAggSelBounding()},
+        {"evita", OptimizerOptions::UseEvitaRaced()},
+        {"nopruning", OptimizerOptions::UseNoPruning()},
+    };
+    OptimizerOptions fifo = OptimizerOptions::Default();
+    fifo.discipline = QueueDiscipline::kFifo;
+    s->emplace_back("all-fifo", fifo);
+    return s;
+  }();
+  return *sets;
+}
+
 std::unique_ptr<ScenarioWorld> BuildScenarioWorld(const Scenario& scenario) {
   auto world = std::make_unique<ScenarioWorld>();
   if (scenario.catalog.use_tpch) {

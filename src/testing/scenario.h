@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -113,6 +114,10 @@ TableStats MakeSyntheticTableStats(const SyntheticTableSpec& spec);
 /// `registry` without wiring the rest of a world; does not freeze. Used by
 /// churn generation, which needs only graph + statistics.
 void BindScenarioStats(const Scenario& scenario, StatsRegistry* registry);
+
+/// The named optimizer configurations a scenario (or a reoptd registration)
+/// may draw: the paper's evaluated pruning levels plus the FIFO discipline.
+const std::vector<std::pair<std::string, OptimizerOptions>>& ScenarioOptionSets();
 
 /// Wires catalog, join graph, bound statistics (frozen), cost model and
 /// enumerator for `scenario`. Deterministic: two calls produce worlds with

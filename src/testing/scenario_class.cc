@@ -375,7 +375,6 @@ DiffResult RunStormScenario(const Scenario& sc, ScenarioClass cls, const DiffOpt
     if (session->Flush() > 0) {
       ++dispatched_flushes;
       result.eps_seeded += session->last_flush().eps_seeded;
-      result.eps_scanned += session->last_flush().eps_scanned;
     }
     mirror_session->Flush();
     ++result.flushes;
@@ -407,7 +406,6 @@ DiffResult RunStormScenario(const Scenario& sc, ScenarioClass cls, const DiffOpt
   result.plan_flips = acc.plan_flips;
   result.plan_changes = acc.plan_changes;
   acc.eps_seeded = result.eps_seeded;
-  acc.eps_scanned = result.eps_scanned;
   acc.evictions = session->metrics().evictions;
   acc.rehydrations = session->metrics().rehydrations;
   acc.summary_hits = session->summary_cache().hits();
@@ -511,7 +509,6 @@ void ClassRunStats::Accumulate(const ClassRunStats& o) {
   evictions += o.evictions;
   rehydrations += o.rehydrations;
   eps_seeded += o.eps_seeded;
-  eps_scanned += o.eps_scanned;
   summary_hits += o.summary_hits;
   summary_misses += o.summary_misses;
   max_resident_bytes = std::max(max_resident_bytes, o.max_resident_bytes);
@@ -527,7 +524,6 @@ DiffResult RunClassScenario(const Scenario& scenario, ScenarioClass cls,
       s.plan_flips = r.plan_flips;
       s.plan_changes = r.plan_changes;
       s.eps_seeded = r.eps_seeded;
-      s.eps_scanned = r.eps_scanned;
       s.queries = options.batch_steps >= 1 ? 2 : 1;  // primary + shadow
       stats->Accumulate(s);
     }

@@ -8,8 +8,8 @@
 //                 quarantine paths never get a quiet flush);
 //   kScopeOverlap 16..64 registered queries over one small relation
 //                 alphabet, so every mutation's affected set is nearly the
-//                 whole session (the subset index's dense fallback and the
-//                 shared summary cache under maximum contention);
+//                 whole session (seeding hits most of every memo and the
+//                 shared summary cache is under maximum contention);
 //   kHandleStorm  register/unregister churn interleaved with flushes under
 //                 a tight memo_byte_budget (evict/rehydrate edges, LRU-tick
 //                 freshness, resident-byte accounting);
@@ -94,7 +94,6 @@ struct ClassRunStats {
   int64_t evictions = 0;
   int64_t rehydrations = 0;
   int64_t eps_seeded = 0;
-  int64_t eps_scanned = 0;
   int64_t summary_hits = 0;
   int64_t summary_misses = 0;
   int64_t max_resident_bytes = 0;

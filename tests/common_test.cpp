@@ -12,7 +12,6 @@
 #include "common/relset.h"
 #include "common/ring_buffer.h"
 #include "common/rng.h"
-#include "common/scope_index.h"
 #include "common/str_util.h"
 
 namespace iqro {
@@ -391,114 +390,6 @@ TEST(RingBufferTest, RandomizedDifferentialAgainstDeque) {
     }
     EXPECT_EQ(ring.size(), ref.size());
   }
-}
-
-TEST(ScopeSubsetIndexTest, SupersetAndExactQueriesOnSmallIndex) {
-  ScopeSubsetIndex<int> idx;
-  idx.Insert(0b001, 1);   // {0}
-  idx.Insert(0b010, 2);   // {1}
-  idx.Insert(0b011, 3);   // {0,1}
-  idx.Insert(0b011, 4);   // {0,1} again (second property group)
-  idx.Insert(0b110, 5);   // {1,2}
-  EXPECT_EQ(idx.size(), 5u);
-
-  auto supersets = [&](RelSet scope) {
-    std::vector<int> out;
-    idx.ForEachSupersetOf(scope, [&](int v) { out.push_back(v); });
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  auto exact = [&](RelSet key) {
-    std::vector<int> out;
-    idx.ForEachWithKey(key, [&](int v) { out.push_back(v); });
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  EXPECT_EQ(supersets(0b001), (std::vector<int>{1, 3, 4}));
-  EXPECT_EQ(supersets(0b010), (std::vector<int>{2, 3, 4, 5}));
-  EXPECT_EQ(supersets(0b011), (std::vector<int>{3, 4}));
-  EXPECT_EQ(supersets(0b100), (std::vector<int>{5}));
-  EXPECT_EQ(supersets(0), (std::vector<int>{1, 2, 3, 4, 5}));  // degenerate scope
-  EXPECT_EQ(supersets(0b1000), (std::vector<int>{}));
-  EXPECT_EQ(exact(0b011), (std::vector<int>{3, 4}));
-  EXPECT_EQ(exact(0b001), (std::vector<int>{1}));
-  EXPECT_EQ(exact(0b111), (std::vector<int>{}));
-  // The exact-key path scans only its matches — the kScanCost seeding
-  // query must not pay for every entry containing the relation.
-  std::vector<int> sink;
-  EXPECT_EQ(idx.ForEachWithKey(0b010, [&](int v) { sink.push_back(v); }), 1);
-  EXPECT_EQ(idx.ForEachSupersetOf(0b010, [&](int v) { sink.push_back(v); }), 4);
-
-  idx.Clear();
-  EXPECT_EQ(idx.size(), 0u);
-  EXPECT_EQ(supersets(0b001), (std::vector<int>{}));
-  EXPECT_EQ(exact(0b001), (std::vector<int>{}));
-}
-
-TEST(ScopeSubsetIndexTest, RandomizedDifferentialAgainstBruteForceScan) {
-  // The memo's usage pattern: values are inserted once per (key, value)
-  // and never removed (eviction flips memo entries dormant without
-  // touching the index), interleaved with superset and exact-key queries.
-  // The model is the full-vector scan the index replaced.
-  Rng rng(777);
-  constexpr int kRels = 10;  // small universe: dense subset relations
-  ScopeSubsetIndex<int> idx;
-  std::vector<std::pair<RelSet, int>> model;
-  int next_value = 0;
-  int64_t scanned_total = 0;
-  int64_t matched_total = 0;
-  for (int step = 0; step < 30000; ++step) {
-    const uint64_t op = rng.NextBelow(4);
-    if (op == 0 || model.empty()) {
-      RelSet key = static_cast<RelSet>(rng.NextInRange(1, (1 << kRels) - 1));
-      idx.Insert(key, next_value);
-      model.emplace_back(key, next_value);
-      ++next_value;
-      continue;
-    }
-    // Query scopes: mostly keys that exist (mirrors real change scopes —
-    // singletons and edge endpoint pairs), sometimes arbitrary masks,
-    // rarely the degenerate empty scope.
-    RelSet scope;
-    const uint64_t pick = rng.NextBelow(8);
-    if (pick == 0) {
-      scope = 0;
-    } else if (pick <= 4) {
-      scope = model[rng.NextBelow(model.size())].first;
-    } else {
-      scope = static_cast<RelSet>(rng.NextInRange(1, (1 << kRels) - 1));
-    }
-    std::vector<int> got;
-    std::vector<int> want;
-    if (op == 1) {  // superset query (kCardinality seeding)
-      const int64_t scanned =
-          idx.ForEachSupersetOf(scope, [&](int v) { got.push_back(v); });
-      for (const auto& [key, value] : model) {
-        if (RelIsSubset(scope, key)) want.push_back(value);
-      }
-      // The scan examines at least every match and never more than the
-      // whole index.
-      EXPECT_GE(scanned, static_cast<int64_t>(want.size()));
-      EXPECT_LE(scanned, static_cast<int64_t>(model.size()));
-      scanned_total += scanned;
-      matched_total += static_cast<int64_t>(want.size());
-    } else {  // exact-key query (kScanCost seeding)
-      const int64_t scanned = idx.ForEachWithKey(scope, [&](int v) { got.push_back(v); });
-      for (const auto& [key, value] : model) {
-        if (key == scope) want.push_back(value);
-      }
-      EXPECT_EQ(scanned, static_cast<int64_t>(want.size()));  // exact: no overscan
-    }
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    ASSERT_EQ(got, want) << "scope " << RelSetToString(scope) << " at step " << step;
-  }
-  EXPECT_EQ(idx.size(), model.size());
-  EXPECT_GT(idx.bytes(), 0u);
-  // Aggregate sanity: posting-list scans beat the full-vector model by a
-  // wide margin on this workload (the reason the index exists).
-  EXPECT_LT(scanned_total, static_cast<int64_t>(model.size()) * 30000 / 4);
-  EXPECT_GE(scanned_total, matched_total);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -470,7 +471,11 @@ TEST(ShardedServiceTest, RejectsBadRegistrationsAndMutations) {
   EXPECT_EQ(svc.num_worlds(), 1u);
   // Same key, different specs: fingerprint mismatch.
   QuerySpec other = query;
-  other.joins.pop_back();
+  LocalPredicate extra;
+  extra.rel = 0;
+  extra.op = PredOp::kLt;
+  extra.value = 500;
+  other.locals.push_back(extra);
   try {
     svc.RegisterQuery(1, catalog, other, "all", nullptr);
     FAIL() << "world key reuse with different specs accepted";
@@ -496,6 +501,76 @@ TEST(ShardedServiceTest, RejectsBadRegistrationsAndMutations) {
   // The world survives its last query; new registrations join it.
   EXPECT_EQ(svc.num_worlds(), 1u);
   EXPECT_EQ(svc.RegisterQuery(1, catalog, query, "all", nullptr).shard, reg.shard);
+}
+
+// Hostile registrations that passed the slot checks but crashed the shard
+// while the world was built: a negative local or join column indexed before
+// the column-stats array, a full-int64 column range overflowed the
+// histogram sampler's span, and a clustering column or TPC-H table id out
+// of range, a self-join edge or a disconnected join graph failed a CHECK.
+// Each is a kBadRequest, and the service keeps serving a valid world
+// afterwards.
+TEST(ShardedServiceTest, RejectsHostileColumnSpecs) {
+  ShardedService svc(ShardedServiceOptions{});
+  const testing::CatalogSpec catalog = SmallCatalog();
+  const QuerySpec query = SmallChainQuery();
+  auto expect_bad_request = [&](const testing::CatalogSpec& c, const QuerySpec& q,
+                                const char* what) {
+    try {
+      svc.RegisterQuery(1, c, q, "all", nullptr);
+      ADD_FAILURE() << what << " accepted";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code, WireErrorCode::kBadRequest) << what;
+    }
+  };
+
+  QuerySpec negative_local = query;
+  LocalPredicate local;
+  local.rel = 0;
+  local.col = -1;
+  local.op = PredOp::kLt;
+  local.value = 100;
+  negative_local.locals.push_back(local);
+  expect_bad_request(catalog, negative_local, "negative local-predicate column");
+
+  QuerySpec negative_join = query;
+  negative_join.joins[0].left_col = -100000;
+  expect_bad_request(catalog, negative_join, "negative join column");
+
+  testing::CatalogSpec full_range = catalog;
+  full_range.tables[1].cols[0] = {std::numeric_limits<int64_t>::min(),
+                                  std::numeric_limits<int64_t>::max(), 500};
+  expect_bad_request(full_range, query, "full-int64 column range");
+
+  testing::CatalogSpec inverted = catalog;
+  inverted.tables[2].cols[0] = {10, 9, 1};
+  expect_bad_request(inverted, query, "inverted column range");
+
+  testing::CatalogSpec clustered_past_width = catalog;
+  clustered_past_width.tables[0].clustered_on = 1;
+  expect_bad_request(clustered_past_width, query, "clustered on a missing column");
+
+  QuerySpec self_edge = query;
+  self_edge.joins[0].right_rel = 0;
+  expect_bad_request(catalog, self_edge, "join of a relation to itself");
+
+  QuerySpec disconnected = query;
+  disconnected.joins.pop_back();
+  expect_bad_request(catalog, disconnected, "disconnected join graph");
+
+  testing::CatalogSpec tpch;
+  tpch.use_tpch = true;
+  QuerySpec tpch_query = query;
+  tpch_query.relations[2].table = 99;
+  expect_bad_request(tpch, tpch_query, "TPC-H table id out of range");
+
+  EXPECT_EQ(svc.num_worlds(), 0u);
+  const auto reg = svc.RegisterQuery(1, catalog, query, "all", nullptr);
+  std::vector<testing::StatMutation> batch;
+  batch.push_back({testing::StatMutation::Kind::kBaseRows, 0, 0, 5e5});
+  EXPECT_EQ(svc.RecordStatBatch(1, batch), 1u);
+  EXPECT_GT(svc.Flush(1), 0u);
+  EXPECT_FALSE(svc.QueryCanonicalDump(reg.query_id).empty());
 }
 
 TEST(ShardedServiceTest, SnapshotFanOutSurvivesRestart) {
