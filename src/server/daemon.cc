@@ -35,39 +35,42 @@ std::string HttpMetricsResponse(const std::string& body) {
 
 }  // namespace
 
-/// Appends event frames to the connection's outbox from shard threads.
-/// Owned by the Conn; SetSink(nullptr) runs synchronously on the shard
-/// thread before the Conn dies, so the sink can never be called after
-/// destruction.
-class Daemon::ConnSink final : public EventSink {
- public:
-  ConnSink(Daemon* daemon, Conn* conn) : daemon_(daemon), conn_(conn) {}
-  void OnServerEvent(const ServerEvent& event) override;
-
- private:
-  Daemon* daemon_;
-  Conn* conn_;
-};
-
 struct Daemon::Conn {
-  int fd = -1;
+  explicit Conn(int fd_in) : fd(fd_in) {}
+
+  // ---- loop thread only ----
+  int fd;
   FrameDecoder decoder;
   /// First-byte protocol sniff: 'G' = HTTP scrape, anything else = frames.
   bool sniffed = false;
   bool http = false;
   std::string http_buf;
-  /// True once the connection should close as soon as the outbox drains.
+  /// A shard-bound request is submitted and its answer not yet collected.
+  bool in_flight = false;
+  /// No more input: close once nothing is in flight and the outbox has
+  /// drained (the HTTP scrape is submitted, or the peer shut its side).
   bool close_after_write = false;
-  /// Bytes queued for the socket. Shard threads append event frames via
-  /// the sink; the loop thread appends responses and drains to the fd.
-  std::mutex outbox_mu;
+
+  // ---- guarded by mu: shard threads append events and answers ----
+  std::mutex mu;
+  /// Bytes queued for the socket; the loop drains them to the fd.
   std::string outbox;
-  /// Queries whose events are currently routed to this connection.
-  std::vector<uint64_t> queries;
-  std::unique_ptr<ConnSink> sink;
+  /// The in-flight request's answer is in the outbox.
+  bool answered = false;
+
+  /// Guarded by the daemon's routes_mu_: set when the socket closes, so no
+  /// route is made to it afterwards.
+  bool closed = false;
 };
 
-void Daemon::ConnSink::OnServerEvent(const ServerEvent& event) {
+void Daemon::OnServerEvent(const ServerEvent& event) {
+  std::shared_ptr<Conn> conn;
+  {
+    std::lock_guard<std::mutex> lk(routes_mu_);
+    auto it = routes_.find(event.query_id);
+    if (it == routes_.end()) return;  // no open connection owns the query
+    conn = it->second;
+  }
   std::string frame;
   if (event.kind == ServerEvent::Kind::kPlanChange) {
     PlanChangeEventMsg m;
@@ -92,13 +95,29 @@ void Daemon::ConnSink::OnServerEvent(const ServerEvent& event) {
     frame = EncodeQuarantineEvent(m);
   }
   {
-    std::lock_guard<std::mutex> lk(conn_->outbox_mu);
-    conn_->outbox += frame;
+    std::lock_guard<std::mutex> lk(conn->mu);
+    conn->outbox += frame;
   }
-  // Poke the poll loop so it arms POLLOUT. A full pipe means a wakeup is
-  // already pending — dropping the byte is fine.
-  const char b = 'e';
-  [[maybe_unused]] ssize_t n = write(daemon_->wake_fds_[1], &b, 1);
+  Wake();  // so the loop arms POLLOUT
+}
+
+void Daemon::Route(uint64_t query_id, const std::shared_ptr<Conn>& conn) {
+  std::lock_guard<std::mutex> lk(routes_mu_);
+  if (conn->closed) {
+    routes_.erase(query_id);
+  } else {
+    routes_[query_id] = conn;
+  }
+}
+
+size_t Daemon::routed_queries() const {
+  std::lock_guard<std::mutex> lk(routes_mu_);
+  return routes_.size();
+}
+
+void Daemon::Wake() {
+  const char b = 'w';
+  [[maybe_unused]] ssize_t n = write(wake_fds_[1], &b, 1);
 }
 
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
@@ -188,130 +207,176 @@ void Daemon::AcceptPending() {
     const int fd = accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;
     SetNonBlocking(fd);
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->sink = std::make_unique<ConnSink>(this, conn.get());
-    conns_.emplace(fd, std::move(conn));
+    conns_.emplace(fd, std::make_shared<Conn>(fd));
   }
 }
 
-void Daemon::HandleRequest(Conn* conn, const std::string& payload) {
-  const Request req = DecodeRequest(payload);  // SerializeError -> caller closes
-  std::string response;
-  try {
-    switch (req.type) {
-      case MsgType::kRegisterQuery: {
-        if (stop_requested_.load(std::memory_order_relaxed)) {
-          throw ServiceError(WireErrorCode::kShuttingDown, "daemon is draining");
-        }
-        const RegisterQueryReq& r = req.register_query;
-        EventSink* sink = r.want_events ? conn->sink.get() : nullptr;
-        const ShardedService::RegisterResult res =
-            service_->RegisterQuery(r.world_key, r.catalog, r.query, r.options_name, sink);
-        if (sink != nullptr) conn->queries.push_back(res.query_id);
-        RegisteredResp resp;
-        resp.query_id = res.query_id;
-        resp.shard = res.shard;
-        resp.best_cost = res.best_cost;
-        response = EncodeRegistered(req.request_id, resp);
-        break;
-      }
-      case MsgType::kReleaseQuery: {
-        const uint64_t id = req.release_query.query_id;
-        if (!service_->ReleaseQuery(id)) {
-          throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(id));
-        }
-        std::erase(conn->queries, id);
-        response = EncodeOk(req.request_id, 0);
-        break;
-      }
-      case MsgType::kSubscribeQuery: {
-        const uint64_t id = req.subscribe_query.query_id;
-        if (!service_->SetSink(id, conn->sink.get())) {
-          throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(id));
-        }
-        conn->queries.push_back(id);
-        response = EncodeOk(req.request_id, 0);
-        break;
-      }
-      case MsgType::kRecordStatBatch: {
-        const size_t accepted =
-            service_->RecordStatBatch(req.record_stat_batch.world_key,
-                                      req.record_stat_batch.mutations);
-        response = EncodeOk(req.request_id, accepted);
-        break;
-      }
-      case MsgType::kFlush: {
-        const size_t changes =
-            req.flush.all ? service_->FlushAll() : service_->Flush(req.flush.world_key);
-        response = EncodeOk(req.request_id, changes);
-        break;
-      }
-      case MsgType::kSnapshot:
-        response = EncodeOk(req.request_id, service_->SaveSnapshots());
-        break;
-      case MsgType::kGetMetrics:
-        response = EncodeMetricsText(req.request_id, service_->MetricsText());
-        break;
-      case MsgType::kShutdown:
-        response = EncodeOk(req.request_id, 0);
-        stop_requested_.store(true, std::memory_order_relaxed);
-        break;
-      default:
-        throw ServiceError(WireErrorCode::kBadRequest,
-                           std::string("unexpected message type ") + MsgTypeName(req.type));
+namespace {
+
+/// The response frame for a shard-bound request's outcome.
+std::string EncodeAnswer(MsgType type, uint64_t request_id, const ShardedService::Outcome& out) {
+  if (out.error) {
+    try {
+      std::rethrow_exception(out.error);
+    } catch (const ServiceError& e) {
+      return EncodeError(request_id, e.code, e.what());
+    } catch (const SerializeError& e) {
+      // A snapshot write that failed on the filesystem.
+      return EncodeError(request_id, WireErrorCode::kBadRequest, e.what());
+    } catch (const std::exception& e) {
+      return EncodeError(request_id, WireErrorCode::kInternal, e.what());
+    } catch (...) {
+      return EncodeError(request_id, WireErrorCode::kInternal, "unknown exception");
     }
-  } catch (const ServiceError& e) {
-    response = EncodeError(req.request_id, e.code, e.what());
   }
-  std::lock_guard<std::mutex> lk(conn->outbox_mu);
+  switch (type) {
+    case MsgType::kRegisterQuery: {
+      RegisteredResp resp;
+      resp.query_id = out.registered.query_id;
+      resp.shard = out.registered.shard;
+      resp.best_cost = out.registered.best_cost;
+      return EncodeRegistered(request_id, resp);
+    }
+    case MsgType::kGetMetrics:
+      return EncodeMetricsText(request_id, out.text);
+    default:
+      return EncodeOk(request_id, out.value);
+  }
+}
+
+}  // namespace
+
+void Daemon::SubmitRequest(const std::shared_ptr<Conn>& conn, Request req) {
+  const MsgType type = req.type;
+  const uint64_t request_id = req.request_id;
+  const bool want_events = req.register_query.want_events;
+  const uint64_t query_id =
+      type == MsgType::kReleaseQuery ? req.release_query.query_id : req.subscribe_query.query_id;
+  conn->in_flight = true;
+  // The completion owns a reference: the Conn outlives its in-flight
+  // request even when the socket closes first. It runs on the shard right
+  // after the command, before any later event of the query is raised.
+  service_->Submit(std::move(req), this,
+                   [this, conn, type, request_id, want_events, query_id](
+                       ShardedService::Outcome out) {
+                     if (!out.error) {
+                       if (type == MsgType::kRegisterQuery && want_events) {
+                         Route(out.registered.query_id, conn);
+                       } else if (type == MsgType::kSubscribeQuery) {
+                         Route(query_id, conn);
+                       } else if (type == MsgType::kReleaseQuery) {
+                         std::lock_guard<std::mutex> lk(routes_mu_);
+                         routes_.erase(query_id);
+                       }
+                     }
+                     std::string frame = EncodeAnswer(type, request_id, out);
+                     {
+                       std::lock_guard<std::mutex> lk(conn->mu);
+                       conn->outbox += frame;
+                       conn->answered = true;
+                     }
+                     Wake();
+                   });
+}
+
+void Daemon::HandleRequest(const std::shared_ptr<Conn>& conn, const std::string& payload) {
+  Request req = DecodeRequest(payload);  // SerializeError -> caller closes
+  std::string response;
+  switch (req.type) {
+    case MsgType::kRecordStatBatch:
+      try {
+        response = EncodeOk(req.request_id,
+                            service_->RecordStatBatch(req.record_stat_batch.world_key,
+                                                      req.record_stat_batch.mutations));
+      } catch (const ServiceError& e) {
+        response = EncodeError(req.request_id, e.code, e.what());
+      }
+      break;
+    case MsgType::kShutdown:
+      response = EncodeOk(req.request_id, 0);
+      stop_requested_.store(true, std::memory_order_relaxed);
+      break;
+    case MsgType::kRegisterQuery:
+      if (stop_requested_.load(std::memory_order_relaxed)) {
+        response = EncodeError(req.request_id, WireErrorCode::kShuttingDown, "daemon is draining");
+        break;
+      }
+      [[fallthrough]];
+    default:
+      SubmitRequest(conn, std::move(req));
+      return;
+  }
+  std::lock_guard<std::mutex> lk(conn->mu);
   conn->outbox += response;
 }
 
-bool Daemon::HandleReadable(Conn* conn) {
+bool Daemon::ReadInput(const std::shared_ptr<Conn>& conn) {
   char buf[16384];
   for (;;) {
     const ssize_t n = read(conn->fd, buf, sizeof(buf));
-    if (n == 0) return false;  // EOF
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
+    if (n == 0) {
+      // The peer shut its side; it may still read what it asked for.
+      conn->close_after_write = true;
+      return true;
     }
+    if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK;
     if (!conn->sniffed) {
       conn->sniffed = true;
       conn->http = buf[0] == 'G';
     }
-    if (conn->http) {
-      conn->http_buf.append(buf, static_cast<size_t>(n));
-      if (conn->http_buf.find("\r\n\r\n") != std::string::npos || conn->http_buf.size() > 8192) {
-        std::lock_guard<std::mutex> lk(conn->outbox_mu);
-        conn->outbox += HttpMetricsResponse(service_->MetricsText());
-        conn->close_after_write = true;
-      }
+    if (!conn->http) {
+      conn->decoder.Feed(buf, static_cast<size_t>(n));
       continue;
     }
+    conn->http_buf.append(buf, static_cast<size_t>(n));
+    if (conn->http_buf.find("\r\n\r\n") != std::string::npos || conn->http_buf.size() > 8192) {
+      conn->close_after_write = true;
+      conn->in_flight = true;
+      Request req;
+      req.type = MsgType::kGetMetrics;
+      service_->Submit(std::move(req), nullptr, [this, conn](ShardedService::Outcome out) {
+        {
+          std::lock_guard<std::mutex> lk(conn->mu);
+          conn->outbox += HttpMetricsResponse(out.text);
+          conn->answered = true;
+        }
+        Wake();
+      });
+      return true;
+    }
+  }
+}
+
+bool Daemon::ServeRequests(const std::shared_ptr<Conn>& conn) {
+  std::string payload;
+  for (;;) {
+    if (conn->in_flight) {
+      std::lock_guard<std::mutex> lk(conn->mu);
+      if (!conn->answered) return true;
+      conn->answered = false;
+      conn->in_flight = false;
+    }
+    if (conn->http) return true;
     try {
-      conn->decoder.Feed(buf, static_cast<size_t>(n));
-      std::string payload;
-      while (conn->decoder.Next(&payload)) HandleRequest(conn, payload);
+      if (!conn->decoder.Next(&payload)) return true;
+      HandleRequest(conn, payload);
     } catch (const SerializeError&) {
       // Malformed frame: this connection dies; its peers and its queries
-      // (sinks detached in CloseConn) are untouched.
+      // (unrouted at teardown) are untouched.
       return false;
     }
   }
-  return true;
 }
 
 bool Daemon::HandleWritable(Conn* conn) {
   std::string pending;
   {
-    std::lock_guard<std::mutex> lk(conn->outbox_mu);
+    std::lock_guard<std::mutex> lk(conn->mu);
     pending.swap(conn->outbox);
   }
   size_t off = 0;
   while (off < pending.size()) {
-    const ssize_t n = write(conn->fd, pending.data() + off, pending.size() - off);
+    const ssize_t n = send(conn->fd, pending.data() + off, pending.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       return false;
@@ -321,10 +386,10 @@ bool Daemon::HandleWritable(Conn* conn) {
   if (off < pending.size()) {
     // Put the unwritten tail back in front of anything a shard thread
     // appended meanwhile.
-    std::lock_guard<std::mutex> lk(conn->outbox_mu);
+    std::lock_guard<std::mutex> lk(conn->mu);
     conn->outbox.insert(0, pending, off, pending.size() - off);
-  } else if (conn->close_after_write) {
-    std::lock_guard<std::mutex> lk(conn->outbox_mu);
+  } else if (conn->close_after_write && !conn->in_flight) {
+    std::lock_guard<std::mutex> lk(conn->mu);
     if (conn->outbox.empty()) return false;
   }
   return true;
@@ -333,11 +398,12 @@ bool Daemon::HandleWritable(Conn* conn) {
 void Daemon::CloseConn(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
-  // Detach synchronously BEFORE the Conn (and its sink) is destroyed: after
-  // SetSink returns, no shard thread can be inside OnServerEvent.
-  for (const uint64_t id : it->second->queries) service_->SetSink(id, nullptr);
-  close(fd);
+  std::shared_ptr<Conn> conn = std::move(it->second);
   conns_.erase(it);
+  close(fd);
+  std::lock_guard<std::mutex> lk(routes_mu_);
+  conn->closed = true;
+  std::erase_if(routes_, [&conn](const auto& route) { return route.second == conn; });
 }
 
 void Daemon::BeginShutdown() {
@@ -345,7 +411,7 @@ void Daemon::BeginShutdown() {
     close(listen_fd_);
     listen_fd_ = -1;
   }
-  service_->Drain();
+  service_->Drain();     // every in-flight request is answered
   service_->FlushAll();  // final events still reach connected subscribers
   if (!options_.service.snapshot_dir.empty()) service_->SaveSnapshots();
 }
@@ -360,9 +426,10 @@ void Daemon::EventLoop() {
     fds.push_back({wake_fds_[0], POLLIN, 0});
     if (listen_fd_ >= 0) fds.push_back({listen_fd_, POLLIN, 0});
     for (auto& [fd, conn] : conns_) {
-      short events = POLLIN;
+      // One request in flight: the next one stays in the socket buffer.
+      short events = conn->in_flight || conn->close_after_write ? 0 : POLLIN;
       {
-        std::lock_guard<std::mutex> lk(conn->outbox_mu);
+        std::lock_guard<std::mutex> lk(conn->mu);
         if (!conn->outbox.empty()) events |= POLLOUT;
       }
       fds.push_back({fd, events, 0});
@@ -391,33 +458,37 @@ void Daemon::EventLoop() {
     for (; idx < fds.size(); ++idx) {
       auto it = conns_.find(fds[idx].fd);
       if (it == conns_.end()) continue;
-      Conn* conn = it->second.get();
+      const std::shared_ptr<Conn>& conn = it->second;
       bool alive = true;
       if (fds[idx].revents & (POLLERR | POLLHUP | POLLNVAL)) {
-        // Half-close still lets us flush the outbox on POLLHUP-free errors;
-        // keep it simple: flush what we can, then drop.
-        alive = HandleWritable(conn) && !(fds[idx].revents & (POLLERR | POLLNVAL));
+        // Flush what we can, then drop.
+        alive = HandleWritable(conn.get()) && !(fds[idx].revents & (POLLERR | POLLNVAL));
         if (fds[idx].revents & POLLHUP) alive = false;
       } else {
-        if (alive && (fds[idx].revents & POLLIN)) alive = HandleReadable(conn);
-        // Always try to drain the outbox: responses generated this
-        // iteration should not wait for the next poll round.
-        if (alive) alive = HandleWritable(conn);
+        if (fds[idx].revents & POLLIN) alive = ReadInput(conn);
+        // Every connection, every round: a completion may have answered
+        // since the last one, and its response should not wait for the
+        // next poll.
+        if (alive) alive = ServeRequests(conn);
+        if (alive) alive = HandleWritable(conn.get());
       }
       if (!alive) dead.push_back(fds[idx].fd);
     }
     for (const int fd : dead) CloseConn(fd);
 
     if (shutting_down) {
-      bool outboxes_empty = true;
+      bool settled = true;
       for (auto& [fd, conn] : conns_) {
-        std::lock_guard<std::mutex> lk(conn->outbox_mu);
-        if (!conn->outbox.empty()) outboxes_empty = false;
+        std::lock_guard<std::mutex> lk(conn->mu);
+        if (conn->in_flight || !conn->outbox.empty()) settled = false;
       }
-      if (outboxes_empty || std::chrono::steady_clock::now() >= drain_deadline) break;
+      if (settled || std::chrono::steady_clock::now() >= drain_deadline) break;
     }
   }
   while (!conns_.empty()) CloseConn(conns_.begin()->first);
+  // Every in-flight request answers: afterwards no shard thread holds a
+  // Conn, and no route is left to poke the wakeup pipe.
+  service_->Drain();
   if (!options_.unix_path.empty()) unlink(options_.unix_path.c_str());
   running_.store(false);
 }

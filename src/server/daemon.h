@@ -4,40 +4,62 @@
 //
 // ## Threading shape
 //
-// The event loop is ONE thread. It accepts connections, reassembles
-// frames (FrameDecoder), and executes each request synchronously against
-// the service — registration and flush block the loop on the owning shard
-// (Call), mutation batches validate synchronously and apply
-// asynchronously. Plan-change/quarantine events are appended to the
-// owning connection's outbox *by the shard threads* (ConnSink locks the
-// outbox, then pokes the loop's wakeup pipe); because a synchronous Flush
-// runs its subscriber callbacks before returning, every event a flush
-// produces is in the outbox BEFORE that flush's response frame — a client
-// measuring flush-to-event latency sees events first, response second,
-// in one socket read.
+// The event loop is ONE thread, and it never waits on a shard. It accepts
+// connections, reassembles frames (FrameDecoder), and hands every request
+// that reaches a shard (register, release, subscribe, flush, snapshot,
+// metrics) to ShardedService::Submit, then moves on. The shard thread
+// that completes the command appends the response frame to the
+// connection's outbox and pokes the loop's wakeup pipe — the same path
+// plan-change/quarantine events take. A flush's events are appended
+// while it runs and its kOk after it returns, so the events are in the
+// outbox before the response by construction. Mutation batches are
+// validated and posted inline, and answered at once.
+//
+// The daemon itself is the event sink of every query it registers with
+// events or subscribes: it outlives the service, so no shard thread can
+// reach a freed sink. It routes each event by query id to the connection
+// that owns the query — the last to register or subscribe it — and drops
+// events of queries no open connection owns. A route is set or erased by
+// the command's completion, on the shard thread right after the command,
+// so a subscriber receives exactly the events raised after its subscribe
+// ran.
+//
+// One request per connection is in flight: while one is, the loop arms
+// no POLLIN on that connection and decodes none of its buffered frames,
+// so the response to request n is queued before request n+1 is read, and
+// responses never interleave. Different connections' requests run side
+// by side on their worlds' shards.
+//
+// The only blocking calls are at shutdown, when the loop is exiting.
 //
 // ## Connection semantics
 //
 // * A frame that fails to decode (SerializeError) closes THAT connection
-//   only; its queries survive with their event sinks detached (the
-//   documented reconnect path: kSubscribeQuery re-attaches them).
+//   only; its queries survive with their events unrouted (the documented
+//   reconnect path: kSubscribeQuery routes them to the new connection).
 //   Application-level rejections (ServiceError) are answered with kError
 //   frames and the connection lives on.
+// * Closing a connection erases its routes at once. A request still in
+//   flight holds the connection until its completion has run; a
+//   registration or subscribe that completes after the close routes
+//   nothing to it.
 // * A connection whose first byte is 'G' is treated as an HTTP scrape
 //   ("GET /metrics"): it gets a one-shot HTTP/1.0 200 text/plain response
-//   carrying ShardedService::MetricsText() and is closed — curl and a
+//   carrying the service's metrics text and is closed — curl and a
 //   Prometheus scraper work against the same port as the binary protocol.
 // * Graceful shutdown (Stop(), SIGTERM via RequestShutdown(), or a
-//   kShutdown frame): stop accepting, drain the shard queues, run one
-//   final FlushAll (its events still reach connected subscribers), save
-//   per-shard snapshots when a snapshot_dir is configured, flush every
-//   outbox best-effort, exit the loop.
+//   kShutdown frame): stop accepting, drain the shard queues (every
+//   in-flight request is answered), run one final FlushAll (its events
+//   still reach connected subscribers), save per-shard snapshots when a
+//   snapshot_dir is configured, flush every outbox best-effort, exit the
+//   loop.
 #ifndef IQRO_SERVER_DAEMON_H_
 #define IQRO_SERVER_DAEMON_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -61,7 +83,7 @@ struct DaemonOptions {
   int drain_timeout_ms = 2000;
 };
 
-class Daemon {
+class Daemon final : private EventSink {
  public:
   explicit Daemon(DaemonOptions options);
   ~Daemon();
@@ -93,22 +115,44 @@ class Daemon {
   /// it directly alongside socket clients.
   ShardedService& service() { return *service_; }
 
+  /// Queries whose events are routed to an open connection.
+  size_t routed_queries() const;
+
  private:
   struct Conn;
-  class ConnSink;
+
+  /// Routes a query's event to the connection that owns the query (shard
+  /// threads).
+  void OnServerEvent(const ServerEvent& event) override;
+  /// `conn` owns `query_id`'s events from now on; a closed `conn` leaves
+  /// them unrouted.
+  void Route(uint64_t query_id, const std::shared_ptr<Conn>& conn);
 
   void EventLoop();
   void AcceptPending();
-  /// Reads and processes everything available on a connection; returns
-  /// false when the connection must close (EOF, decode error, HTTP done).
-  bool HandleReadable(Conn* conn);
-  void HandleRequest(Conn* conn, const std::string& payload);
+  /// Reads what the socket has into the connection's decoder (or HTTP
+  /// buffer); false when the connection must close (EOF, read error).
+  bool ReadInput(const std::shared_ptr<Conn>& conn);
+  /// Collects the in-flight request's answer, then handles buffered
+  /// frames until one is in flight or none is left; false on a decode
+  /// error.
+  bool ServeRequests(const std::shared_ptr<Conn>& conn);
+  void HandleRequest(const std::shared_ptr<Conn>& conn, const std::string& payload);
+  /// Hands a shard-bound request to the service; its completion answers.
+  void SubmitRequest(const std::shared_ptr<Conn>& conn, Request req);
   /// Writes as much buffered outbox as the socket accepts; false = dead.
   bool HandleWritable(Conn* conn);
   void CloseConn(int fd);
+  /// Pokes the loop out of poll(). A full pipe means a wakeup is already
+  /// pending, so a dropped byte is fine.
+  void Wake();
   void BeginShutdown();
 
   DaemonOptions options_;
+  /// Declared before service_, whose shard threads route events through
+  /// them until the service is gone.
+  mutable std::mutex routes_mu_;
+  std::unordered_map<uint64_t, std::shared_ptr<Conn>> routes_;
   std::unique_ptr<ShardedService> service_;
   std::thread loop_;
   int listen_fd_ = -1;
@@ -117,7 +161,7 @@ class Daemon {
   size_t restored_queries_ = 0;
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+  std::unordered_map<int, std::shared_ptr<Conn>> conns_;
 };
 
 }  // namespace iqro::server

@@ -1,7 +1,10 @@
 #include "server/sharded_service.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <limits>
 #include <utility>
 
@@ -137,6 +140,10 @@ bool ValidMutation(const testing::StatMutation& m, int num_relations, int num_ed
       return m.scope != 0 && (m.scope & ~all) == 0;
   }
   return false;
+}
+
+ServiceError UnknownQuery(uint64_t query_id) {
+  return ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
 }
 
 }  // namespace
@@ -288,39 +295,137 @@ void ShardedService::Post(uint32_t shard, std::function<void()> fn) {
   s->cv.notify_all();
 }
 
-template <typename F>
-auto ShardedService::Call(uint32_t shard, F&& fn) -> decltype(fn()) {
-  using R = decltype(fn());
-  std::promise<R> promise;
-  std::future<R> future = promise.get_future();
-  Post(shard, [&promise, fn = std::forward<F>(fn)]() mutable {
+void ShardedService::PostCompletion(uint32_t shard, std::function<Outcome()> body,
+                                    Completion done) {
+  Post(shard, [body = std::move(body), done = std::move(done)] {
+    Outcome out;
     try {
-      if constexpr (std::is_void_v<R>) {
-        fn();
-        promise.set_value();
-      } else {
-        promise.set_value(fn());
-      }
+      out = body();
     } catch (...) {
-      promise.set_exception(std::current_exception());
+      out.error = std::current_exception();
     }
+    done(std::move(out));
   });
-  return future.get();
 }
 
-ShardedService::RegisterResult ShardedService::RegisterOnShard(
-    uint32_t shard_idx, uint64_t world_key, const testing::CatalogSpec& catalog,
-    const QuerySpec& query, const std::string& options_name, EventSink* sink) {
-  const OptimizerOptions* options = FindOptionSet(options_name);
-  // Checked by RegisterQuery already; re-checked here because
-  // LoadSnapshots funnels through this path too.
-  if (options == nullptr) {
-    throw ServiceError(WireErrorCode::kUnknownOptions, "unknown option set " + options_name);
+void ShardedService::PostToAll(std::function<void(uint32_t)> body,
+                               std::function<Outcome()> finish, Completion done) {
+  struct Join {
+    std::function<void(uint32_t)> body;
+    std::function<Outcome()> finish;
+    Completion done;
+    std::atomic<size_t> remaining{0};
+    std::mutex mu;
+    std::exception_ptr error;  // the first body's exception
+  };
+  auto join = std::make_shared<Join>();
+  join->body = std::move(body);
+  join->finish = std::move(finish);
+  join->done = std::move(done);
+  join->remaining.store(shards_.size());
+  for (uint32_t i = 0; i < shards_.size(); ++i) {
+    Post(i, [join, i] {
+      try {
+        join->body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lk(join->mu);
+        if (!join->error) join->error = std::current_exception();
+      }
+      if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+      Outcome out;
+      {
+        std::lock_guard<std::mutex> lk(join->mu);
+        out.error = join->error;
+      }
+      if (!out.error) {
+        try {
+          out = join->finish();
+        } catch (...) {
+          out.error = std::current_exception();
+        }
+      }
+      join->done(std::move(out));
+    });
   }
+}
+
+ShardedService::Outcome ShardedService::Wait(const std::function<void(Completion)>& start) {
+  // Shared with the completion: the waiter may return while the completing
+  // thread is still inside set_value.
+  auto promise = std::make_shared<std::promise<Outcome>>();
+  std::future<Outcome> future = promise->get_future();
+  start([promise](Outcome out) { promise->set_value(std::move(out)); });
+  Outcome out = future.get();
+  if (out.error) std::rethrow_exception(out.error);
+  return out;
+}
+
+ShardedService::Outcome ShardedService::Await(Request request, EventSink* sink) {
+  return Wait([&](Completion done) { Submit(std::move(request), sink, std::move(done)); });
+}
+
+bool ShardedService::AwaitKnownQuery(Request request, EventSink* sink) {
+  try {
+    Await(std::move(request), sink);
+    return true;
+  } catch (const ServiceError& e) {
+    if (e.code == WireErrorCode::kUnknownQuery) return false;
+    throw;
+  }
+}
+
+template <typename F>
+auto ShardedService::Call(uint32_t shard, F&& fn) -> decltype(fn()) {
+  decltype(fn()) result{};
+  Wait([&](Completion done) {
+    PostCompletion(
+        shard,
+        [&] {
+          result = fn();
+          return Outcome{};
+        },
+        std::move(done));
+  });
+  return result;
+}
+
+ShardedService::WorldInfo ShardedService::BuiltWorld(uint64_t world_key) const {
+  std::lock_guard<std::mutex> lk(index_mu_);
+  auto it = worlds_.find(world_key);
+  if (it == worlds_.end() || !it->second.built) {
+    throw ServiceError(WireErrorCode::kUnknownWorld,
+                       "no world registered under key " + std::to_string(world_key));
+  }
+  return it->second;
+}
+
+ShardedService::QueryLoc ShardedService::LocateQuery(uint64_t query_id) const {
+  std::lock_guard<std::mutex> lk(index_mu_);
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) {
+    throw UnknownQuery(query_id);
+  }
+  return it->second;
+}
+
+ShardedService::GroupQuery* ShardedService::FindQuery(const QueryLoc& loc, uint64_t query_id) {
+  Shard* shard = shards_[loc.shard].get();
+  auto git = shard->groups.find(loc.world_key);
+  if (git == shard->groups.end()) return nullptr;
+  for (auto& q : git->second->queries) {
+    if (q->id == query_id) return q.get();
+  }
+  return nullptr;
+}
+
+ShardedService::RegisterResult ShardedService::RegisterOnShard(uint32_t shard_idx,
+                                                               const RegisterQueryReq& req,
+                                                               EventSink* sink) {
+  const OptimizerOptions* options = FindOptionSet(req.options_name);
   Shard* shard = shards_[shard_idx].get();
-  const uint64_t fingerprint = WorldFingerprint(catalog, query);
+  const uint64_t fingerprint = WorldFingerprint(req.catalog, req.query);
   Group* group = nullptr;
-  auto it = shard->groups.find(world_key);
+  auto it = shard->groups.find(req.world_key);
   if (it != shard->groups.end()) {
     group = it->second.get();
     if (group->fingerprint != fingerprint) {
@@ -329,11 +434,11 @@ ShardedService::RegisterResult ShardedService::RegisterOnShard(
     }
   } else {
     auto fresh = std::make_unique<Group>();
-    fresh->world_key = world_key;
+    fresh->world_key = req.world_key;
     fresh->fingerprint = fingerprint;
-    fresh->scope_mask = query.AllRelations();
-    fresh->scenario.catalog = catalog;
-    fresh->scenario.query = query;
+    fresh->scope_mask = req.query.AllRelations();
+    fresh->scenario.catalog = req.catalog;
+    fresh->scenario.query = req.query;
     fresh->world = testing::BuildScenarioWorld(fresh->scenario);
     ReoptSessionOptions so;
     so.per_query_work_budget = options_.per_query_work_budget;
@@ -345,27 +450,27 @@ ShardedService::RegisterResult ShardedService::RegisterOnShard(
     }
     fresh->session = std::make_unique<ReoptSession>(&fresh->world->registry, so);
     group = fresh.get();
-    shard->groups.emplace(world_key, std::move(fresh));
+    shard->groups.emplace(req.world_key, std::move(fresh));
+    std::lock_guard<std::mutex> lk(index_mu_);
+    // Validation dims come from the BUILT world's registry, not the spec:
+    // the join graph may merge parallel join predicates into one edge.
+    worlds_[req.world_key] = WorldInfo{shard_idx, true, group->world->registry.num_relations(),
+                                       group->world->registry.num_edges()};
   }
 
   auto q = std::make_unique<GroupQuery>();
-  q->world_key = world_key;
-  q->options_name = options_name;
+  q->world_key = req.world_key;
+  q->options_name = req.options_name;
   q->summaries = std::make_unique<SummaryCalculator>(&group->world->registry);
   q->cost_model = std::make_unique<CostModel>(q->summaries.get());
   q->optimizer = std::make_unique<DeclarativeOptimizer>(
       group->world->enumerator.get(), q->cost_model.get(), &group->world->registry, *options);
   q->optimizer->Optimize();
   q->sink = sink;
-  RegisterResult result;
   {
     std::lock_guard<std::mutex> lk(index_mu_);
     q->id = next_query_id_++;
-    queries_[q->id] = QueryLoc{shard_idx, world_key};
-    // Validation dims come from the BUILT world's registry, not the spec:
-    // the join graph may merge parallel join predicates into one edge.
-    worlds_[world_key] = WorldInfo{shard_idx, group->world->registry.num_relations(),
-                                   group->world->registry.num_edges()};
+    queries_[q->id] = QueryLoc{shard_idx, req.world_key};
   }
   try {
     q->handle = group->session->Register(*q->optimizer, q.get());
@@ -374,6 +479,7 @@ ShardedService::RegisterResult ShardedService::RegisterOnShard(
     queries_.erase(q->id);
     throw ServiceError(WireErrorCode::kOverloaded, e.what());
   }
+  RegisterResult result;
   result.query_id = q->id;
   result.shard = shard_idx;
   result.best_cost = q->optimizer->BestCost();
@@ -381,86 +487,162 @@ ShardedService::RegisterResult ShardedService::RegisterOnShard(
   return result;
 }
 
+void ShardedService::Submit(Request request, EventSink* sink, Completion done) {
+  try {
+    switch (request.type) {
+      case MsgType::kRegisterQuery: {
+        const RegisterQueryReq& r = request.register_query;
+        if (FindOptionSet(r.options_name) == nullptr) {
+          throw ServiceError(WireErrorCode::kUnknownOptions,
+                             "unknown option set " + r.options_name);
+        }
+        ValidateSpecs(r.catalog, r.query);
+        uint32_t shard;
+        {
+          std::lock_guard<std::mutex> lk(index_mu_);
+          // Reserve the route before posting: a concurrent first
+          // registration under this key with other specs hashes another
+          // relation mask, but must meet this one on the same shard to be
+          // refused there.
+          auto [it, fresh] = worlds_.try_emplace(r.world_key);
+          if (fresh) {
+            it->second.shard = ShardOfWorld(r.world_key, r.query.AllRelations(), num_shards());
+          }
+          shard = it->second.shard;
+        }
+        if (!r.want_events) sink = nullptr;
+        PostCompletion(
+            shard,
+            [this, shard, sink, req = std::move(request.register_query)] {
+              Outcome out;
+              out.registered = RegisterOnShard(shard, req, sink);
+              return out;
+            },
+            std::move(done));
+        return;
+      }
+      case MsgType::kReleaseQuery: {
+        const uint64_t id = request.release_query.query_id;
+        QueryLoc loc;
+        {
+          std::lock_guard<std::mutex> lk(index_mu_);
+          auto it = queries_.find(id);
+          if (it == queries_.end()) {
+            throw UnknownQuery(id);
+          }
+          loc = it->second;
+          queries_.erase(it);
+        }
+        PostCompletion(
+            loc.shard,
+            [this, loc, id] {
+              auto& groups = shards_[loc.shard]->groups;
+              auto git = groups.find(loc.world_key);
+              auto is_id = [id](const auto& q) { return q->id == id; };
+              if (git == groups.end() || std::erase_if(git->second->queries, is_id) == 0) {
+                throw UnknownQuery(id);
+              }
+              return Outcome{};
+            },
+            std::move(done));
+        return;
+      }
+      case MsgType::kSubscribeQuery: {
+        const uint64_t id = request.subscribe_query.query_id;
+        const QueryLoc loc = LocateQuery(id);
+        PostCompletion(
+            loc.shard,
+            [this, loc, id, sink] {
+              GroupQuery* q = FindQuery(loc, id);
+              if (q == nullptr) {
+                throw UnknownQuery(id);
+              }
+              q->sink = sink;
+              return Outcome{};
+            },
+            std::move(done));
+        return;
+      }
+      case MsgType::kFlush: {
+        if (request.flush.all) {
+          auto totals = std::make_shared<std::vector<uint64_t>>(shards_.size(), 0);
+          PostToAll(
+              [this, totals](uint32_t i) {
+                for (auto& [key, group] : shards_[i]->groups) {
+                  (*totals)[i] += group->session->Flush();
+                }
+              },
+              [totals] {
+                Outcome out;
+                for (const uint64_t n : *totals) out.value += n;
+                return out;
+              },
+              std::move(done));
+          return;
+        }
+        const uint64_t world_key = request.flush.world_key;
+        const uint32_t shard = BuiltWorld(world_key).shard;
+        PostCompletion(
+            shard,
+            [this, shard, world_key] {
+              Outcome out;
+              auto it = shards_[shard]->groups.find(world_key);
+              if (it != shards_[shard]->groups.end()) out.value = it->second->session->Flush();
+              return out;
+            },
+            std::move(done));
+        return;
+      }
+      case MsgType::kSnapshot:
+        SubmitSnapshot(std::move(done));
+        return;
+      case MsgType::kGetMetrics:
+        SubmitMetrics(std::move(done));
+        return;
+      default:
+        throw ServiceError(WireErrorCode::kBadRequest,
+                           std::string("unexpected message type ") + MsgTypeName(request.type));
+    }
+  } catch (const ServiceError&) {
+    // Rejected at the door: nothing was posted, `done` is still ours.
+    Outcome out;
+    out.error = std::current_exception();
+    done(std::move(out));
+  }
+}
+
 ShardedService::RegisterResult ShardedService::RegisterQuery(uint64_t world_key,
                                                              const testing::CatalogSpec& catalog,
                                                              const QuerySpec& query,
                                                              const std::string& options_name,
                                                              EventSink* sink) {
-  if (FindOptionSet(options_name) == nullptr) {
-    throw ServiceError(WireErrorCode::kUnknownOptions, "unknown option set " + options_name);
-  }
-  ValidateSpecs(catalog, query);
-  uint32_t shard;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = worlds_.find(world_key);
-    shard = it != worlds_.end()
-                ? it->second.shard
-                : ShardOfWorld(world_key, query.AllRelations(), num_shards());
-  }
-  return Call(shard, [&] {
-    return RegisterOnShard(shard, world_key, catalog, query, options_name, sink);
-  });
+  Request req;
+  req.type = MsgType::kRegisterQuery;
+  req.register_query.world_key = world_key;
+  req.register_query.want_events = sink != nullptr;
+  req.register_query.catalog = catalog;
+  req.register_query.query = query;
+  req.register_query.options_name = options_name;
+  return Await(std::move(req), sink).registered;
 }
 
 bool ShardedService::ReleaseQuery(uint64_t query_id) {
-  QueryLoc loc;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) return false;
-    loc = it->second;
-    queries_.erase(it);
-  }
-  return Call(loc.shard, [this, loc, query_id] {
-    Shard* shard = shards_[loc.shard].get();
-    auto git = shard->groups.find(loc.world_key);
-    if (git == shard->groups.end()) return false;
-    auto& queries = git->second->queries;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (queries[i]->id == query_id) {
-        queries.erase(queries.begin() + static_cast<ptrdiff_t>(i));
-        return true;
-      }
-    }
-    return false;
-  });
+  Request req;
+  req.type = MsgType::kReleaseQuery;
+  req.release_query.query_id = query_id;
+  return AwaitKnownQuery(std::move(req), nullptr);
 }
 
 bool ShardedService::SetSink(uint64_t query_id, EventSink* sink) {
-  QueryLoc loc;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) return false;
-    loc = it->second;
-  }
-  return Call(loc.shard, [this, loc, query_id, sink] {
-    Shard* shard = shards_[loc.shard].get();
-    auto git = shard->groups.find(loc.world_key);
-    if (git == shard->groups.end()) return false;
-    for (auto& q : git->second->queries) {
-      if (q->id == query_id) {
-        q->sink = sink;
-        return true;
-      }
-    }
-    return false;
-  });
+  Request req;
+  req.type = MsgType::kSubscribeQuery;
+  req.subscribe_query.query_id = query_id;
+  return AwaitKnownQuery(std::move(req), sink);
 }
 
 size_t ShardedService::RecordStatBatch(uint64_t world_key,
                                        const std::vector<testing::StatMutation>& mutations) {
-  WorldInfo info;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = worlds_.find(world_key);
-    if (it == worlds_.end()) {
-      throw ServiceError(WireErrorCode::kUnknownWorld,
-                         "no world registered under key " + std::to_string(world_key));
-    }
-    info = it->second;
-  }
+  const WorldInfo info = BuiltWorld(world_key);
   std::vector<testing::StatMutation> accepted;
   accepted.reserve(mutations.size());
   size_t rejected = 0;
@@ -490,96 +672,44 @@ size_t ShardedService::RecordStatBatch(uint64_t world_key,
 }
 
 size_t ShardedService::Flush(uint64_t world_key) {
-  uint32_t shard_idx;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = worlds_.find(world_key);
-    if (it == worlds_.end()) {
-      throw ServiceError(WireErrorCode::kUnknownWorld,
-                         "no world registered under key " + std::to_string(world_key));
-    }
-    shard_idx = it->second.shard;
-  }
-  return Call(shard_idx, [this, shard_idx, world_key]() -> size_t {
-    Shard* shard = shards_[shard_idx].get();
-    auto it = shard->groups.find(world_key);
-    if (it == shard->groups.end()) return 0;
-    return it->second->session->Flush();
-  });
+  Request req;
+  req.type = MsgType::kFlush;
+  req.flush.world_key = world_key;
+  return Await(std::move(req), nullptr).value;
 }
 
 size_t ShardedService::FlushAll() {
-  // Post to every shard first, then collect — shards flush in parallel.
-  std::vector<std::future<size_t>> futures;
-  futures.reserve(shards_.size());
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    auto promise = std::make_shared<std::promise<size_t>>();
-    futures.push_back(promise->get_future());
-    Post(i, [this, i, promise] {
-      size_t total = 0;
-      for (auto& [key, group] : shards_[i]->groups) total += group->session->Flush();
-      promise->set_value(total);
-    });
-  }
-  size_t total = 0;
-  for (auto& f : futures) total += f.get();
-  return total;
+  Request req;
+  req.type = MsgType::kFlush;
+  req.flush.all = true;
+  return Await(std::move(req), nullptr).value;
 }
 
 void ShardedService::Drain() {
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards_.size());
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    auto promise = std::make_shared<std::promise<void>>();
-    futures.push_back(promise->get_future());
-    Post(i, [promise] { promise->set_value(); });
-  }
-  for (auto& f : futures) f.get();
+  Wait([this](Completion done) {
+    PostToAll([](uint32_t) {}, [] { return Outcome{}; }, std::move(done));
+  });
 }
 
 std::string ShardedService::QueryCanonicalDump(uint64_t query_id) {
-  QueryLoc loc;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
-    }
-    loc = it->second;
-  }
+  const QueryLoc loc = LocateQuery(query_id);
   return Call(loc.shard, [this, loc, query_id]() -> std::string {
-    Shard* shard = shards_[loc.shard].get();
-    auto git = shard->groups.find(loc.world_key);
-    if (git == shard->groups.end()) {
-      throw ServiceError(WireErrorCode::kUnknownQuery, "query's world is gone");
+    GroupQuery* q = FindQuery(loc, query_id);
+    if (q == nullptr) {
+      throw UnknownQuery(query_id);
     }
-    for (auto& q : git->second->queries) {
-      if (q->id == query_id) return q->optimizer->CanonicalDumpState();
-    }
-    throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
+    return q->optimizer->CanonicalDumpState();
   });
 }
 
 double ShardedService::QueryBestCost(uint64_t query_id) {
-  QueryLoc loc;
-  {
-    std::lock_guard<std::mutex> lk(index_mu_);
-    auto it = queries_.find(query_id);
-    if (it == queries_.end()) {
-      throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
-    }
-    loc = it->second;
-  }
+  const QueryLoc loc = LocateQuery(query_id);
   return Call(loc.shard, [this, loc, query_id]() -> double {
-    Shard* shard = shards_[loc.shard].get();
-    auto git = shard->groups.find(loc.world_key);
-    if (git == shard->groups.end()) {
-      throw ServiceError(WireErrorCode::kUnknownQuery, "query's world is gone");
+    GroupQuery* q = FindQuery(loc, query_id);
+    if (q == nullptr) {
+      throw UnknownQuery(query_id);
     }
-    for (auto& q : git->second->queries) {
-      if (q->id == query_id) return q->optimizer->BestCost();
-    }
-    throw ServiceError(WireErrorCode::kUnknownQuery, "unknown query " + std::to_string(query_id));
+    return q->optimizer->BestCost();
   });
 }
 
@@ -600,42 +730,49 @@ std::string ManifestPath(const std::string& dir, uint32_t shard) {
 
 }  // namespace
 
-size_t ShardedService::SaveSnapshots() {
+void ShardedService::SubmitSnapshot(Completion done) {
   if (options_.snapshot_dir.empty()) {
     throw ServiceError(WireErrorCode::kBadRequest, "service has no snapshot_dir configured");
   }
-  size_t total = 0;
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    total += Call(i, [this, i]() -> size_t {
-      Shard* shard = shards_[i].get();
-      service::SnapshotWriter manifest;
-      size_t queries = 0;
-      for (auto& [key, group] : shard->groups) {
-        std::string record;
-        ByteWriter w(&record);
-        w.PutU64(group->world_key);
-        w.PutU64(group->fingerprint);
-        w.PutU32(group->scope_mask);
-        EncodeCatalogSpec(&w, group->scenario.catalog);
-        EncodeQuerySpec(&w, group->scenario.query);
-        w.PutU32(static_cast<uint32_t>(group->queries.size()));
-        for (const auto& q : group->queries) {
-          w.PutU64(q->id);
-          std::string name;
-          ByteWriter nw(&name);
-          nw.PutU32(static_cast<uint32_t>(q->options_name.size()));
-          nw.PutBytes(q->options_name.data(), q->options_name.size());
-          w.PutBytes(name.data(), name.size());
+  auto persisted = std::make_shared<std::vector<uint64_t>>(shards_.size(), 0);
+  PostToAll(
+      [this, persisted](uint32_t i) {
+        service::SnapshotWriter manifest;
+        for (auto& [key, group] : shards_[i]->groups) {
+          std::string record;
+          ByteWriter w(&record);
+          w.PutU64(group->world_key);
+          w.PutU64(group->fingerprint);
+          w.PutU32(group->scope_mask);
+          EncodeCatalogSpec(&w, group->scenario.catalog);
+          EncodeQuerySpec(&w, group->scenario.query);
+          w.PutU32(static_cast<uint32_t>(group->queries.size()));
+          for (const auto& q : group->queries) {
+            w.PutU64(q->id);
+            std::string name;
+            ByteWriter nw(&name);
+            nw.PutU32(static_cast<uint32_t>(q->options_name.size()));
+            nw.PutBytes(q->options_name.data(), q->options_name.size());
+            w.PutBytes(name.data(), name.size());
+          }
+          manifest.AddSection(kManifestWorldSection, std::move(record));
+          group->session->SaveSnapshot(SnapshotPath(options_.snapshot_dir, i, key));
+          (*persisted)[i] += group->queries.size();
         }
-        manifest.AddSection(kManifestWorldSection, std::move(record));
-        group->session->SaveSnapshot(SnapshotPath(options_.snapshot_dir, i, key));
-        queries += group->queries.size();
-      }
-      manifest.WriteAtomic(ManifestPath(options_.snapshot_dir, i));
-      return queries;
-    });
-  }
-  return total;
+        manifest.WriteAtomic(ManifestPath(options_.snapshot_dir, i));
+      },
+      [persisted] {
+        Outcome out;
+        for (const uint64_t n : *persisted) out.value += n;
+        return out;
+      },
+      std::move(done));
+}
+
+size_t ShardedService::SaveSnapshots() {
+  Request req;
+  req.type = MsgType::kSnapshot;
+  return Await(std::move(req), nullptr).value;
 }
 
 size_t ShardedService::LoadSnapshots() {
@@ -722,7 +859,7 @@ size_t ShardedService::LoadSnapshots() {
         }
         {
           std::lock_guard<std::mutex> lk(index_mu_);
-          worlds_[group->world_key] = WorldInfo{i, group->world->registry.num_relations(),
+          worlds_[group->world_key] = WorldInfo{i, true, group->world->registry.num_relations(),
                                                 group->world->registry.num_edges()};
           for (const auto& q : group->queries) {
             queries_[q->id] = QueryLoc{i, group->world_key};
@@ -738,68 +875,108 @@ size_t ShardedService::LoadSnapshots() {
   return total;
 }
 
+namespace {
+
+void AddSessionMetrics(ReoptSessionMetrics* sum, const ReoptSessionMetrics& m) {
+  sum->mutations_observed += m.mutations_observed;
+  sum->flushes += m.flushes;
+  sum->empty_flushes += m.empty_flushes;
+  sum->changes_flushed += m.changes_flushed;
+  sum->reopt_passes += m.reopt_passes;
+  sum->queries_skipped += m.queries_skipped;
+  sum->eps_seeded += m.eps_seeded;
+  sum->plan_changes += m.plan_changes;
+  sum->quarantines += m.quarantines;
+  sum->rehabilitations += m.rehabilitations;
+  sum->queries_parked += m.queries_parked;
+  sum->watermark_flushes += m.watermark_flushes;
+  sum->evictions += m.evictions;
+  sum->rehydrations += m.rehydrations;
+  sum->resident_memo_bytes += m.resident_memo_bytes;
+}
+
+}  // namespace
+
+void ShardedService::SubmitMetrics(Completion done) {
+  struct ShardMetrics {
+    ReoptSessionMetrics sum;
+    size_t worlds = 0;
+    size_t queries = 0;
+  };
+  auto per_shard = std::make_shared<std::vector<ShardMetrics>>(shards_.size());
+  PostToAll(
+      [this, per_shard](uint32_t i) {
+        ShardMetrics& slot = (*per_shard)[i];
+        for (auto& [key, group] : shards_[i]->groups) {
+          AddSessionMetrics(&slot.sum, group->session->metrics());
+          slot.queries += group->queries.size();
+          ++slot.worlds;
+        }
+      },
+      [this, per_shard] {
+        ReoptSessionMetrics sum;
+        size_t worlds = 0;
+        for (const ShardMetrics& slot : *per_shard) {
+          AddSessionMetrics(&sum, slot.sum);
+          worlds += slot.worlds;
+        }
+        Outcome out;
+        out.text = PrometheusSessionText(sum, "");
+        char buf[96];
+        out.text += "# TYPE iqro_service_shards gauge\n";
+        std::snprintf(buf, sizeof(buf), "iqro_service_shards %zu\n", per_shard->size());
+        out.text += buf;
+        out.text += "# TYPE iqro_service_worlds gauge\n";
+        std::snprintf(buf, sizeof(buf), "iqro_service_worlds %zu\n", worlds);
+        out.text += buf;
+        out.text += "# TYPE iqro_service_queries gauge\n";
+        std::snprintf(buf, sizeof(buf), "iqro_service_queries %zu\n", num_queries());
+        out.text += buf;
+        out.text += "# TYPE iqro_shard_queries gauge\n";
+        for (size_t i = 0; i < per_shard->size(); ++i) {
+          std::snprintf(buf, sizeof(buf), "iqro_shard_queries{shard=\"%zu\"} %zu\n", i,
+                        (*per_shard)[i].queries);
+          out.text += buf;
+        }
+        return out;
+      },
+      std::move(done));
+}
+
 std::string ShardedService::MetricsText() {
-  ReoptSessionMetrics sum;
-  std::vector<size_t> shard_queries(shards_.size(), 0);
-  size_t worlds = 0;
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    Call(i, [this, i, &sum, &shard_queries, &worlds] {
-      for (auto& [key, group] : shards_[i]->groups) {
-        const ReoptSessionMetrics& m = group->session->metrics();
-        sum.mutations_observed += m.mutations_observed;
-        sum.flushes += m.flushes;
-        sum.empty_flushes += m.empty_flushes;
-        sum.changes_flushed += m.changes_flushed;
-        sum.reopt_passes += m.reopt_passes;
-        sum.queries_skipped += m.queries_skipped;
-        sum.eps_seeded += m.eps_seeded;
-        sum.plan_changes += m.plan_changes;
-        sum.quarantines += m.quarantines;
-        sum.rehabilitations += m.rehabilitations;
-        sum.queries_parked += m.queries_parked;
-        sum.watermark_flushes += m.watermark_flushes;
-        sum.evictions += m.evictions;
-        sum.rehydrations += m.rehydrations;
-        sum.resident_memo_bytes += m.resident_memo_bytes;
-        shard_queries[i] += group->queries.size();
-        ++worlds;
-      }
-    });
-  }
-  std::string out = PrometheusSessionText(sum, "");
-  char buf[96];
-  out += "# TYPE iqro_service_shards gauge\n";
-  std::snprintf(buf, sizeof(buf), "iqro_service_shards %zu\n", shards_.size());
-  out += buf;
-  out += "# TYPE iqro_service_worlds gauge\n";
-  std::snprintf(buf, sizeof(buf), "iqro_service_worlds %zu\n", worlds);
-  out += buf;
-  out += "# TYPE iqro_service_queries gauge\n";
-  std::snprintf(buf, sizeof(buf), "iqro_service_queries %zu\n", num_queries());
-  out += buf;
-  out += "# TYPE iqro_shard_queries gauge\n";
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "iqro_shard_queries{shard=\"%u\"} %zu\n", i, shard_queries[i]);
-    out += buf;
-  }
-  return out;
+  Request req;
+  req.type = MsgType::kGetMetrics;
+  return Await(std::move(req), nullptr).text;
 }
 
 ShardedServiceStats ShardedService::Stats() {
+  std::vector<ShardedServiceStats> per_shard(shards_.size());
+  Wait([this, &per_shard](Completion done) {
+    PostToAll(
+        [this, &per_shard](uint32_t i) {
+          ShardedServiceStats& slot = per_shard[i];
+          for (auto& [key, group] : shards_[i]->groups) {
+            const ReoptSessionMetrics& m = group->session->metrics();
+            ++slot.worlds;
+            slot.queries += static_cast<int64_t>(group->queries.size());
+            slot.flushes += m.flushes;
+            slot.changes_flushed += m.changes_flushed;
+            slot.plan_changes += m.plan_changes;
+            slot.mutations_observed += m.mutations_observed;
+            slot.quarantines += m.quarantines;
+          }
+        },
+        [] { return Outcome{}; }, std::move(done));
+  });
   ShardedServiceStats stats;
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    Call(i, [this, i, &stats] {
-      for (auto& [key, group] : shards_[i]->groups) {
-        const ReoptSessionMetrics& m = group->session->metrics();
-        ++stats.worlds;
-        stats.queries += static_cast<int64_t>(group->queries.size());
-        stats.flushes += m.flushes;
-        stats.changes_flushed += m.changes_flushed;
-        stats.plan_changes += m.plan_changes;
-        stats.mutations_observed += m.mutations_observed;
-        stats.quarantines += m.quarantines;
-      }
-    });
+  for (const ShardedServiceStats& slot : per_shard) {
+    stats.worlds += slot.worlds;
+    stats.queries += slot.queries;
+    stats.flushes += slot.flushes;
+    stats.changes_flushed += slot.changes_flushed;
+    stats.plan_changes += slot.plan_changes;
+    stats.mutations_observed += slot.mutations_observed;
+    stats.quarantines += slot.quarantines;
   }
   std::lock_guard<std::mutex> lk(index_mu_);
   stats.mutations_rejected = mutations_rejected_;
@@ -813,7 +990,8 @@ size_t ShardedService::num_queries() const {
 
 size_t ShardedService::num_worlds() const {
   std::lock_guard<std::mutex> lk(index_mu_);
-  return worlds_.size();
+  return static_cast<size_t>(
+      std::count_if(worlds_.begin(), worlds_.end(), [](const auto& w) { return w.second.built; }));
 }
 
 }  // namespace iqro::server

@@ -31,8 +31,8 @@
 // This layer has no I/O: the daemon (server/daemon.h) drives it from
 // decoded wire frames, tests and benches drive it directly. Plan-change /
 // quarantine notifications are delivered through a per-query EventSink on
-// the shard thread (the daemon's sink encodes an event frame into the
-// connection outbox; tests record them).
+// the shard thread (the daemon routes each one into the outbox of the
+// connection that owns the query; tests record them).
 #ifndef IQRO_SERVER_SHARDED_SERVICE_H_
 #define IQRO_SERVER_SHARDED_SERVICE_H_
 
@@ -40,8 +40,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -90,8 +90,8 @@ struct ServerEvent {
 
 /// Where a query's events go. Called on the owning SHARD thread, during a
 /// flush — implementations must be quick, must not call back into the
-/// service, and must synchronize their own state (the daemon's sink locks
-/// a connection outbox; test sinks lock a vector).
+/// service, and must synchronize their own state (the daemon locks its
+/// route map and a connection outbox; test sinks lock a vector).
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -138,6 +138,19 @@ class ShardedService {
     double best_cost = 0;
   };
 
+  /// What a shard-bound request produced: `error`, or the result field
+  /// its request type fills.
+  struct Outcome {
+    /// The request failed: a ServiceError (carrying the wire code), or a
+    /// SerializeError{kIo} when a kSnapshot write failed.
+    std::exception_ptr error;
+    /// kFlush: dispatched StatChanges; kSnapshot: queries persisted.
+    uint64_t value = 0;
+    RegisterResult registered;  // kRegisterQuery
+    std::string text;           // kGetMetrics
+  };
+  using Completion = std::function<void(Outcome)>;
+
   explicit ShardedService(ShardedServiceOptions options = {});
   ~ShardedService();
 
@@ -150,14 +163,30 @@ class ShardedService {
   /// spread.
   static uint32_t ShardOfWorld(uint64_t world_key, RelSet scope_mask, int num_shards);
 
+  /// The one entry point of every request that reaches a shard:
+  /// kRegisterQuery, kReleaseQuery, kSubscribeQuery, kFlush (one world or
+  /// all), kSnapshot and kGetMetrics; any other type is rejected with
+  /// kBadRequest. Returns without waiting. `done` runs exactly once: on
+  /// the shard thread that ran the command (for kFlush-all, kSnapshot and
+  /// kGetMetrics, which run on every shard, the last one to finish), or
+  /// on the calling thread when the request is rejected before it reaches
+  /// a shard. It must be quick and must not wait on this service. `sink`
+  /// is the event sink of kRegisterQuery (when want_events) and
+  /// kSubscribeQuery (null detaches). A shard runs its commands in
+  /// submission order, so the events a flush delivers precede its `done`.
+  /// The blocking calls below are waits on this path. Thread-safe.
+  void Submit(Request request, EventSink* sink, Completion done);
+
   /// Registers one optimizer configuration. The first registration under
   /// `world_key` builds the world on its shard (catalog, statistics, join
   /// graph, session); later ones must present byte-identical specs
   /// (WorldFingerprint-checked -> ServiceError{kSpecMismatch}) and join
-  /// the existing session. `options_name` must name a
-  /// testing::ScenarioOptionSets entry (-> kUnknownOptions). `sink` (may
-  /// be null) receives the query's events on the shard thread until
-  /// SetSink replaces it. Thread-safe.
+  /// the existing session. The first registration reserves the world's
+  /// shard before it is posted, so concurrent first registrations of one
+  /// key meet on one shard, where one wins and the others get
+  /// kSpecMismatch. `options_name` must name a testing::ScenarioOptionSets
+  /// entry (-> kUnknownOptions). `sink` (may be null) receives the query's
+  /// events on the shard thread until SetSink replaces it. Thread-safe.
   RegisterResult RegisterQuery(uint64_t world_key, const testing::CatalogSpec& catalog,
                                const QuerySpec& query, const std::string& options_name,
                                EventSink* sink);
@@ -167,10 +196,9 @@ class ShardedService {
   /// worlds die with the service, not with their last query.
   bool ReleaseQuery(uint64_t query_id);
 
-  /// Replaces a query's event sink (null detaches) — the daemon's
-  /// reconnect / connection-teardown path. Synchronous: after it returns,
-  /// the old sink is guaranteed to receive no further calls. Returns
-  /// false for an unknown id.
+  /// Replaces a query's event sink (null detaches) — the reconnect path.
+  /// After it returns, the old sink is guaranteed to receive no further
+  /// calls. Returns false for an unknown id.
   bool SetSink(uint64_t query_id, EventSink* sink);
 
   /// Validates and applies a mutation batch to a world's registry, in
@@ -178,12 +206,13 @@ class ShardedService {
   /// Flush() on the same world is ordered after it by the FIFO queue).
   /// Returns the number of mutations accepted; out-of-range targets,
   /// non-finite or non-positive values are dropped and counted
-  /// (Stats().mutations_rejected). ServiceError{kUnknownWorld} for an
-  /// unregistered key.
+  /// (Stats().mutations_rejected). ServiceError{kUnknownWorld} for a key
+  /// with no built world, including one whose first registration is
+  /// still in flight.
   size_t RecordStatBatch(uint64_t world_key, const std::vector<testing::StatMutation>& mutations);
 
-  /// Flushes one world's session (synchronous; returns dispatched
-  /// StatChanges). ServiceError{kUnknownWorld} for an unregistered key.
+  /// Flushes one world's session and returns the dispatched StatChanges.
+  /// ServiceError{kUnknownWorld} as for RecordStatBatch.
   size_t Flush(uint64_t world_key);
 
   /// Flushes every world on every shard (shards in parallel); returns the
@@ -235,6 +264,9 @@ class ShardedService {
   struct GroupQuery;
   struct WorldInfo {
     uint32_t shard = 0;
+    /// False while the world's first registration is in flight: its shard
+    /// is reserved, but the world it names does not exist yet.
+    bool built = false;
     int num_relations = 0;
     int num_edges = 0;
   };
@@ -245,15 +277,38 @@ class ShardedService {
 
   void ShardLoop(Shard* shard);
   void Post(uint32_t shard, std::function<void()> fn);
-  /// Posts `fn` and waits for its result; exceptions propagate.
+  /// Runs `body` on `shard`, then `done` with its result or exception.
+  void PostCompletion(uint32_t shard, std::function<Outcome()> body, Completion done);
+  /// Runs `body(i)` on every shard i in parallel. The last shard to finish
+  /// hands `done` the first exception a body threw, or `finish()`.
+  void PostToAll(std::function<void(uint32_t)> body, std::function<Outcome()> finish,
+                 Completion done);
+  /// Starts a command with a completion and waits for it; rethrows its error.
+  static Outcome Wait(const std::function<void(Completion)>& start);
+  /// Submit's kSnapshot and kGetMetrics bodies (fan-outs to every shard).
+  void SubmitSnapshot(Completion done);
+  void SubmitMetrics(Completion done);
+  Outcome Await(Request request, EventSink* sink);
+  /// Await for the requests whose only failure is an unknown query id:
+  /// false for that one.
+  bool AwaitKnownQuery(Request request, EventSink* sink);
+  /// Runs `fn` on `shard` and returns its result; exceptions propagate.
   template <typename F>
   auto Call(uint32_t shard, F&& fn) -> decltype(fn());
 
-  /// Shard-thread body of RegisterQuery (group lookup/create + session
-  /// registration). `loc_out` receives the created query's id.
-  RegisterResult RegisterOnShard(uint32_t shard_idx, uint64_t world_key,
-                                 const testing::CatalogSpec& catalog, const QuerySpec& query,
-                                 const std::string& options_name, EventSink* sink);
+  /// The routing entry of a built world; ServiceError{kUnknownWorld}
+  /// otherwise.
+  WorldInfo BuiltWorld(uint64_t world_key) const;
+  /// The location of a registered query; ServiceError{kUnknownQuery}
+  /// otherwise.
+  QueryLoc LocateQuery(uint64_t query_id) const;
+  /// Shard-thread lookup of a registered query; null when it is gone.
+  GroupQuery* FindQuery(const QueryLoc& loc, uint64_t query_id);
+
+  /// Shard-thread body of a registration (group lookup/create + session
+  /// registration).
+  RegisterResult RegisterOnShard(uint32_t shard_idx, const RegisterQueryReq& req,
+                                 EventSink* sink);
 
   ShardedServiceOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -92,6 +92,7 @@ const char* WireErrorCodeName(WireErrorCode c) {
     case WireErrorCode::kUnknownOptions: return "unknown_options";
     case WireErrorCode::kOverloaded: return "overloaded";
     case WireErrorCode::kShuttingDown: return "shutting_down";
+    case WireErrorCode::kInternal: return "internal";
   }
   return "unknown";
 }
@@ -532,7 +533,7 @@ ServerMessage DecodeServerMessage(const std::string& payload) {
       msg.type = MsgType::kError;
       msg.request_id = r.GetU64();
       const uint8_t code =
-          GetEnum(&r, static_cast<uint8_t>(WireErrorCode::kShuttingDown), "error code");
+          GetEnum(&r, static_cast<uint8_t>(WireErrorCode::kInternal), "error code");
       if (code == 0) BadSection("error code 0");
       msg.error.code = static_cast<WireErrorCode>(code);
       msg.error.message = GetString(&r);

@@ -82,6 +82,7 @@ enum class WireErrorCode : uint8_t {
   kUnknownOptions = 5, // options_name not in the ScenarioOptionSets vocabulary
   kOverloaded = 6,     // session shed the registration (SessionOverloaded)
   kShuttingDown = 7,   // daemon is draining; no new work
+  kInternal = 8,       // the daemon failed to run a valid request
 };
 
 const char* WireErrorCodeName(WireErrorCode c);

@@ -5,19 +5,24 @@
 // CanonicalDumpState — snapshot fan-out across a service restart, and the
 // daemon end-to-end over a Unix socket (register, churn, events, metrics
 // scrape, snapshot, warm-restart, malformed-frame isolation).
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/declarative_optimizer.h"
@@ -136,6 +141,59 @@ QuerySpec SmallChainQuery() {
   q.joins.push_back(j12);
   return q;
 }
+
+/// A batch that flips the chain's join order when applied to a fresh world
+/// (even rounds) and flips it back (odd rounds).
+std::vector<testing::StatMutation> FlipBatch(int round) {
+  std::vector<testing::StatMutation> batch;
+  batch.push_back({testing::StatMutation::Kind::kBaseRows, 0, 0, round % 2 == 0 ? 5e6 : 20.0});
+  batch.push_back({testing::StatMutation::Kind::kJoinSelectivity, 0, 0,
+                   round % 2 == 0 ? 1e-4 : 0.5});
+  return batch;
+}
+
+/// The first world key at or after `from` that a `num_shards` service
+/// routes to `shard` for a query over `mask`.
+uint64_t KeyOnShard(uint32_t shard, int num_shards, RelSet mask, uint64_t from) {
+  uint64_t key = from;
+  while (ShardedService::ShardOfWorld(key, mask, num_shards) != shard) ++key;
+  return key;
+}
+
+constexpr std::chrono::seconds kBoundedWait{10};
+
+/// Holds the shard thread that delivers its first event until Release():
+/// the in-process way to keep one shard busy for as long as a test needs.
+/// Later events pass through.
+class LatchSink final : public EventSink {
+ public:
+  ~LatchSink() override { Release(); }
+  void OnServerEvent(const ServerEvent&) override {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (released_) return;
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait(lk, [this] { return released_; });
+  }
+  /// False when no shard thread arrived within the bounded wait.
+  bool WaitHeld() {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, kBoundedWait, [this] { return held_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool released_ = false;
+};
 
 // ---- wire codec ------------------------------------------------------------
 
@@ -263,6 +321,24 @@ TEST(WireTest, ServerMessagesRoundTrip) {
   EXPECT_EQ(qv.type, MsgType::kQuarantine);
   EXPECT_TRUE(qv.quarantine.parked);
   EXPECT_EQ(qv.quarantine.message, "work budget exceeded");
+}
+
+// Every error code survives the round trip; the first value past the last
+// code is a malformed frame.
+TEST(WireTest, ErrorCodesRoundTrip) {
+  const auto last = static_cast<uint8_t>(WireErrorCode::kInternal);
+  for (uint8_t code = 1; code <= last; ++code) {
+    const std::vector<std::string> payloads = server::DecodeFrames(
+        server::EncodeError(5, static_cast<WireErrorCode>(code), "why"));
+    ASSERT_EQ(payloads.size(), 1u);
+    const server::ServerMessage err = server::DecodeServerMessage(payloads[0]);
+    EXPECT_EQ(static_cast<uint8_t>(err.error.code), code);
+    EXPECT_STRNE(server::WireErrorCodeName(err.error.code), "unknown");
+  }
+  const std::vector<std::string> past = server::DecodeFrames(
+      server::EncodeError(5, static_cast<WireErrorCode>(last + 1), "why"));
+  ASSERT_EQ(past.size(), 1u);
+  EXPECT_THROW(server::DecodeServerMessage(past[0]), SerializeError);
 }
 
 TEST(WireTest, FrameDecoderReassemblesSplitFeeds) {
@@ -573,6 +649,76 @@ TEST(ShardedServiceTest, RejectsHostileColumnSpecs) {
   EXPECT_FALSE(svc.QueryCanonicalDump(reg.query_id).empty());
 }
 
+// Two first registrations of one world key with different relation
+// masks hash to different shards. The first to route must reserve its
+// shard, so both meet there: one builds the world and the other gets
+// kSpecMismatch. Without the reservation each built its own world, the
+// index kept only the later one, and mutations never reached the other.
+TEST(ShardedServiceTest, ConcurrentFirstRegistrationsOfOneKeyBuildOneWorld) {
+  // 8 shards: routing mod 2^k sees only the low k bits of each hashed
+  // byte, and the masks 0b11 and 0b111 differ only above bit 1.
+  constexpr int kShards = 8;
+  ShardedServiceOptions opts;
+  opts.num_shards = kShards;
+  ShardedService svc(opts);
+  const testing::CatalogSpec catalog = SmallCatalog();
+  const QuerySpec chain3 = SmallChainQuery();
+  QuerySpec chain2 = chain3;
+  chain2.relations.pop_back();
+  chain2.joins.pop_back();
+  uint64_t key = 100;
+  while (ShardedService::ShardOfWorld(key, chain3.AllRelations(), kShards) ==
+         ShardedService::ShardOfWorld(key, chain2.AllRelations(), kShards)) {
+    ASSERT_LT(++key, 1100u);
+  }
+  const uint32_t routes[2] = {ShardedService::ShardOfWorld(key, chain3.AllRelations(), kShards),
+                              ShardedService::ShardOfWorld(key, chain2.AllRelations(), kShards)};
+
+  // Hold both routes' shards, so both registrations route before either
+  // runs.
+  LatchSink latches[2];
+  std::vector<std::thread> holders;
+  for (int i = 0; i < 2; ++i) {
+    const uint64_t holder = KeyOnShard(routes[i], kShards, chain3.AllRelations(), key + 1);
+    svc.RegisterQuery(holder, catalog, chain3, "all", &latches[i]);
+    ASSERT_EQ(svc.RecordStatBatch(holder, FlipBatch(0)), 2u);
+    holders.emplace_back([&svc, holder] { svc.Flush(holder); });
+    ASSERT_TRUE(latches[i].WaitHeld()) << "the flip batch raised no event";
+  }
+  auto register_as = [&](const QuerySpec& query) {
+    return std::async(std::launch::async, [&svc, &catalog, &query, key]() -> WireErrorCode {
+      try {
+        svc.RegisterQuery(key, catalog, query, "all", nullptr);
+        return WireErrorCode{};
+      } catch (const ServiceError& e) {
+        return e.code;
+      }
+    });
+  };
+  auto first = register_as(chain3);
+  auto second = register_as(chain2);
+  // Give both registering threads time to route and post; the outcome
+  // below does not depend on how they interleave.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // A world whose first registration is still in flight takes no mutations.
+  try {
+    svc.RecordStatBatch(key, FlipBatch(0));
+    ADD_FAILURE() << "mutations accepted before the world was built";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code, WireErrorCode::kUnknownWorld);
+  }
+  for (LatchSink& latch : latches) latch.Release();
+  for (std::thread& t : holders) t.join();
+
+  const WireErrorCode a = first.get();
+  const WireErrorCode b = second.get();
+  EXPECT_EQ((a == WireErrorCode{}) + (b == WireErrorCode{}), 1)
+      << "exactly one must build the world";
+  EXPECT_EQ((a == WireErrorCode::kSpecMismatch) + (b == WireErrorCode::kSpecMismatch), 1);
+  EXPECT_EQ(svc.num_worlds(), 3u);
+  EXPECT_EQ(svc.num_queries(), 3u);
+}
+
 TEST(ShardedServiceTest, SnapshotFanOutSurvivesRestart) {
   char dir_template[] = "/tmp/iqro_server_snap_XXXXXX";
   ASSERT_NE(mkdtemp(dir_template), nullptr);
@@ -787,6 +933,332 @@ TEST(DaemonTest, SnapshotShutdownWarmRestartResubscribe) {
   }
   EXPECT_GT(plan_changes, 0) << "re-subscribed connection received no events";
   daemon2.Stop();
+}
+
+/// A bare protocol connection: sends frames as given, and reads frames in
+/// the order their bytes arrive.
+class RawConn {
+ public:
+  explicit RawConn(const std::string& path) {
+    fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  }
+  ~RawConn() { Close(); }
+  RawConn(const RawConn&) = delete;
+  RawConn& operator=(const RawConn&) = delete;
+
+  void Send(const std::string& frame) {
+    ASSERT_EQ(write(fd_, frame.data(), frame.size()), static_cast<ssize_t>(frame.size()));
+  }
+  /// Every frame up to and including the next response (events carry
+  /// request id 0); empty when none arrives within the bounded wait.
+  std::vector<server::ServerMessage> ReadThroughResponse() {
+    std::vector<server::ServerMessage> out;
+    const auto deadline = std::chrono::steady_clock::now() + kBoundedWait;
+    std::string payload;
+    for (;;) {
+      while (decoder_.Next(&payload)) {
+        out.push_back(server::DecodeServerMessage(payload));
+        if (out.back().request_id != 0) return out;
+      }
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd p{fd_, POLLIN, 0};
+      if (left.count() <= 0 || poll(&p, 1, static_cast<int>(left.count())) <= 0) return {};
+      char buf[4096];
+      const ssize_t n = read(fd_, buf, sizeof(buf));
+      if (n <= 0) return {};
+      decoder_.Feed(buf, static_cast<size_t>(n));
+    }
+  }
+  /// The next response's type; MsgType{} when none arrives.
+  MsgType ResponseType() {
+    const std::vector<server::ServerMessage> frames = ReadThroughResponse();
+    return frames.empty() ? MsgType{} : frames.back().type;
+  }
+  void Close() {
+    if (fd_ >= 0) close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_ = -1;
+  server::FrameDecoder decoder_;
+};
+
+server::RegisterQueryReq SmallRegistration(uint64_t world_key) {
+  server::RegisterQueryReq req;
+  req.world_key = world_key;
+  req.catalog = SmallCatalog();
+  req.query = SmallChainQuery();
+  req.options_name = "all";
+  return req;
+}
+
+/// Waits (bounded) until exactly `n` queries' events are routed to an open
+/// connection: the loop has handled every close and completion before.
+bool WaitRouted(const Daemon& daemon, size_t n) {
+  const auto deadline = std::chrono::steady_clock::now() + kBoundedWait;
+  while (daemon.routed_queries() != n) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+int CountPlanChanges(const std::vector<server::ServerMessage>& frames) {
+  int n = 0;
+  for (const auto& f : frames) n += f.type == MsgType::kPlanChange;
+  return n;
+}
+
+// A flush held on one shard must not delay a connection whose worlds live
+// on another: the poll loop hands the held flush to its shard and serves
+// the second connection's register, mutations and flush meanwhile.
+TEST(DaemonTest, HeldShardDoesNotDelayAnotherShardsConnection) {
+  const std::string sock = TestSocketPath("iso");
+  LatchSink latch;  // outlives the daemon, whose query points at it
+  DaemonOptions options;
+  options.unix_path = sock;
+  options.service.num_shards = 2;
+  Daemon daemon(options);
+  daemon.Start();
+  const RelSet mask = SmallChainQuery().AllRelations();
+  const uint64_t held_key = KeyOnShard(0, 2, mask, 1);
+  const uint64_t free_key = KeyOnShard(1, 2, mask, 1);
+  daemon.service().RegisterQuery(held_key, SmallCatalog(), SmallChainQuery(), "all", &latch);
+
+  auto held = std::async(std::launch::async, [&] {
+    Client a;
+    a.ConnectUnix(sock);
+    a.RecordStatBatch(held_key, FlipBatch(0));
+    return a.Flush(held_key);
+  });
+  ASSERT_TRUE(latch.WaitHeld()) << "the held world's flush raised no event";
+
+  auto other = std::async(std::launch::async, [&] {
+    Client b;
+    b.ConnectUnix(sock);
+    b.RegisterQuery(free_key, SmallCatalog(), SmallChainQuery(), "all");
+    b.RecordStatBatch(free_key, FlipBatch(0));
+    const uint64_t changes = b.Flush(free_key);
+    EXPECT_FALSE(b.TakeEvents().empty());
+    return changes;
+  });
+  const bool served_while_held = other.wait_for(kBoundedWait) == std::future_status::ready;
+  latch.Release();
+  EXPECT_TRUE(served_while_held) << "a flush held on shard 0 blocked a connection on shard 1";
+  EXPECT_GT(other.get(), 0u);
+  EXPECT_GT(held.get(), 0u);
+  daemon.Stop();
+}
+
+// A connection that closes while its flush is in flight: the close
+// unroutes its query at once, the flush still runs and answers into the
+// closed connection, the query's later events go nowhere, and a peer is
+// unaffected. Under ASan an event reaching the freed connection shows as a
+// use-after-free on the next flush.
+TEST(DaemonTest, CloseWithFlushInFlightUnroutesItsQueries) {
+  const std::string sock = TestSocketPath("teardown");
+  LatchSink latch;
+  DaemonOptions options;
+  options.unix_path = sock;
+  options.service.num_shards = 2;
+  Daemon daemon(options);
+  daemon.Start();
+  const RelSet mask = SmallChainQuery().AllRelations();
+  const uint64_t key = KeyOnShard(0, 2, mask, 1);
+  const uint64_t peer_key = KeyOnShard(1, 2, mask, 1);
+  daemon.service().RegisterQuery(key, SmallCatalog(), SmallChainQuery(), "all", &latch);
+
+  Client peer;
+  peer.ConnectUnix(sock);
+  peer.RegisterQuery(peer_key, SmallCatalog(), SmallChainQuery(), "all");
+
+  RawConn doomed(sock);
+  doomed.Send(server::EncodeRegisterQuery(1, SmallRegistration(key)));
+  ASSERT_EQ(doomed.ResponseType(), MsgType::kRegistered);
+  EXPECT_EQ(daemon.routed_queries(), 2u);
+  doomed.Send(server::EncodeRecordStatBatch(2, {key, FlipBatch(0)}));
+  ASSERT_EQ(doomed.ResponseType(), MsgType::kOk);
+  doomed.Send(server::EncodeFlush(3, {false, key}));
+  ASSERT_TRUE(latch.WaitHeld()) << "the flush raised no event";
+  doomed.Close();
+  // The loop handles the hang-up while the flush is still held.
+  EXPECT_TRUE(WaitRouted(daemon, 1)) << "the closed connection's route stayed";
+  latch.Release();
+  daemon.service().Drain();
+  EXPECT_EQ(daemon.routed_queries(), 1u) << "the answered flush routed to a closed connection";
+  // The closed connection's query keeps re-optimizing with nowhere to send.
+  daemon.service().RecordStatBatch(key, FlipBatch(1));
+  EXPECT_GT(daemon.service().Flush(key), 0u);
+
+  peer.RecordStatBatch(peer_key, FlipBatch(0));
+  EXPECT_GT(peer.Flush(peer_key), 0u);
+  EXPECT_FALSE(peer.TakeEvents().empty());
+  EXPECT_EQ(daemon.service().num_queries(), 3u);
+  daemon.Stop();
+}
+
+// A query re-subscribed by a second connection now sends its events
+// there, so the first connection's teardown must leave it attached.
+TEST(DaemonTest, TeardownLeavesQueriesSubscribedElsewhere) {
+  const std::string sock = TestSocketPath("handoff");
+  DaemonOptions options;
+  options.unix_path = sock;
+  Daemon daemon(options);
+  daemon.Start();
+  Client first;
+  first.ConnectUnix(sock);
+  const uint64_t query_id =
+      first.RegisterQuery(3, SmallCatalog(), SmallChainQuery(), "all").query_id;
+  Client second;
+  second.ConnectUnix(sock);
+  second.SubscribeQuery(query_id);
+  first.Close();
+  // The hang-up is visible to the poll that reads the next request, so
+  // the teardown is handled before the flush below reaches the shard.
+  for (int round = 0; round < 2; ++round) {
+    second.RecordStatBatch(3, FlipBatch(round));
+    EXPECT_GT(second.Flush(3), 0u);
+    EXPECT_EQ(second.TakeEvents().size(), 1u) << "round " << round;
+  }
+  EXPECT_EQ(daemon.routed_queries(), 1u);
+  daemon.Stop();
+}
+
+// A subscribe queued behind a held flush, and the query's first owner
+// closing before the subscribe runs: the flush's remaining event for the
+// query reaches neither connection, and after the subscribe the events go
+// to the new owner. Under ASan a sink that died with the first connection
+// shows as a use-after-free when the flush resumes.
+TEST(DaemonTest, CloseBeforeQueuedSubscribeRuns) {
+  const std::string sock = TestSocketPath("queued_sub");
+  LatchSink latch;
+  DaemonOptions options;
+  options.unix_path = sock;
+  options.service.num_shards = 1;
+  Daemon daemon(options);
+  daemon.Start();
+  constexpr uint64_t kKey = 5;
+  // Registered first, so the flush raises the latch query's event first.
+  daemon.service().RegisterQuery(kKey, SmallCatalog(), SmallChainQuery(), "all", &latch);
+  Client first;
+  first.ConnectUnix(sock);
+  const uint64_t query_id =
+      first.RegisterQuery(kKey, SmallCatalog(), SmallChainQuery(), "all").query_id;
+
+  daemon.service().RecordStatBatch(kKey, FlipBatch(0));
+  std::thread flush([&] { daemon.service().Flush(kKey); });
+  ASSERT_TRUE(latch.WaitHeld()) << "the flush raised no event";
+  RawConn second(sock);
+  second.Send(server::EncodeSubscribeQuery(1, query_id));
+  // Let the loop queue the subscribe behind the held flush; the outcome
+  // below is the same when the close is handled first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  first.Close();
+  EXPECT_TRUE(WaitRouted(daemon, 0)) << "the closed connection's route stayed";
+  latch.Release();
+  flush.join();
+
+  const std::vector<server::ServerMessage> subscribed = second.ReadThroughResponse();
+  ASSERT_EQ(subscribed.size(), 1u) << "an event raised before the subscribe ran reached it";
+  EXPECT_EQ(subscribed.back().type, MsgType::kOk);
+  second.Send(server::EncodeRecordStatBatch(2, {kKey, FlipBatch(1)}));
+  ASSERT_EQ(second.ResponseType(), MsgType::kOk);
+  second.Send(server::EncodeFlush(3, {false, kKey}));
+  const std::vector<server::ServerMessage> flushed = second.ReadThroughResponse();
+  ASSERT_FALSE(flushed.empty());
+  EXPECT_EQ(flushed.back().type, MsgType::kOk);
+  EXPECT_EQ(CountPlanChanges(flushed), 1);
+  EXPECT_EQ(daemon.routed_queries(), 1u);
+  daemon.Stop();
+}
+
+// The byte order on the socket: a flush's plan-change frames arrive before
+// its kOk, and none after it.
+TEST(DaemonTest, FlushEventsPrecedeItsOkOnTheWire) {
+  const std::string sock = TestSocketPath("order");
+  DaemonOptions options;
+  options.unix_path = sock;
+  options.service.num_shards = 2;
+  Daemon daemon(options);
+  daemon.Start();
+
+  RawConn conn(sock);
+  conn.Send(server::EncodeRegisterQuery(1, SmallRegistration(7)));
+  ASSERT_EQ(conn.ResponseType(), MsgType::kRegistered);
+  for (int round = 0; round < 4; ++round) {
+    const uint64_t id = 10 + 3 * static_cast<uint64_t>(round);
+    conn.Send(server::EncodeRecordStatBatch(id, {7, FlipBatch(round)}));
+    const std::vector<server::ServerMessage> record = conn.ReadThroughResponse();
+    ASSERT_EQ(record.size(), 1u);
+    conn.Send(server::EncodeFlush(id + 1, {false, 7}));
+    const std::vector<server::ServerMessage> flush = conn.ReadThroughResponse();
+    ASSERT_FALSE(flush.empty());
+    EXPECT_EQ(flush.back().type, MsgType::kOk);
+    EXPECT_EQ(flush.back().request_id, id + 1);
+    EXPECT_EQ(CountPlanChanges(flush), 1) << "round " << round;
+    conn.Send(server::EncodeSimpleRequest(MsgType::kGetMetrics, id + 2));
+    const std::vector<server::ServerMessage> after = conn.ReadThroughResponse();
+    ASSERT_EQ(after.size(), 1u) << "a frame arrived after the flush's kOk";
+    EXPECT_EQ(after.back().type, MsgType::kMetricsText);
+  }
+  daemon.Stop();
+}
+
+// Shutdown (kShutdown, or the SIGTERM path) while two connections'
+// flushes are held on their shards: both flushes are answered, the loop
+// exits, the socket is unlinked, and no connection keeps a route.
+TEST(DaemonTest, ShutdownWithFlushesInFlightIsClean) {
+  for (const bool by_signal : {false, true}) {
+    SCOPED_TRACE(by_signal ? "RequestShutdown" : "kShutdown");
+    const std::string sock = TestSocketPath("drain");
+    LatchSink latches[2];
+    DaemonOptions options;
+    options.unix_path = sock;
+    options.service.num_shards = 2;
+    Daemon daemon(options);
+    daemon.Start();
+    const RelSet mask = SmallChainQuery().AllRelations();
+    std::vector<std::unique_ptr<RawConn>> conns;
+    for (uint32_t shard = 0; shard < 2; ++shard) {
+      const uint64_t key = KeyOnShard(shard, 2, mask, 1);
+      daemon.service().RegisterQuery(key, SmallCatalog(), SmallChainQuery(), "all",
+                                     &latches[shard]);
+      conns.push_back(std::make_unique<RawConn>(sock));
+      conns.back()->Send(server::EncodeRegisterQuery(1, SmallRegistration(key)));
+      ASSERT_EQ(conns.back()->ResponseType(), MsgType::kRegistered);
+      conns.back()->Send(server::EncodeRecordStatBatch(2, {key, FlipBatch(0)}));
+      ASSERT_EQ(conns.back()->ResponseType(), MsgType::kOk);
+      conns.back()->Send(server::EncodeFlush(3, {false, key}));
+      ASSERT_TRUE(latches[shard].WaitHeld()) << "the flush raised no event";
+    }
+    RawConn control(sock);
+    if (by_signal) {
+      daemon.RequestShutdown();
+    } else {
+      control.Send(server::EncodeSimpleRequest(MsgType::kShutdown, 1));
+      ASSERT_EQ(control.ResponseType(), MsgType::kOk);
+    }
+    for (LatchSink& latch : latches) latch.Release();
+
+    for (auto& conn : conns) {
+      const std::vector<server::ServerMessage> flush = conn->ReadThroughResponse();
+      ASSERT_FALSE(flush.empty()) << "the in-flight flush was never answered";
+      EXPECT_EQ(flush.back().type, MsgType::kOk);
+      EXPECT_EQ(flush.back().request_id, 3u);
+      EXPECT_EQ(CountPlanChanges(flush), 1);
+    }
+    auto exited = std::async(std::launch::async, [&] { daemon.Wait(); });
+    ASSERT_EQ(exited.wait_for(kBoundedWait), std::future_status::ready) << "the loop did not exit";
+    EXPECT_FALSE(access(sock.c_str(), F_OK) == 0) << "socket not unlinked on shutdown";
+    EXPECT_EQ(daemon.routed_queries(), 0u) << "a route outlived its connection";
+  }
 }
 
 // ---- Prometheus text rendering --------------------------------------------
